@@ -7,9 +7,32 @@
  */
 
 #include <iostream>
+#include <stdexcept>
+#include <vector>
 
+#include "core/parallel.hh"
 #include "core/swcc.hh"
 #include "sim/net/net_experiment.hh"
+
+namespace
+{
+
+/** One independently seeded simulation point of the experiment. */
+struct PointSpec
+{
+    double rate;
+    double size;
+    unsigned stages;
+    swcc::NetMode mode;
+    unsigned switchDim;
+};
+
+const std::vector<std::pair<unsigned, double>> kNetworks = {
+    {4, 12.0}, {6, 16.0}, {8, 20.0}};
+const std::vector<double> kRates = {0.005, 0.01, 0.02, 0.04, 0.08};
+const std::vector<double> kWideRates = {0.01, 0.02, 0.05};
+
+} // namespace
 
 int
 main()
@@ -18,19 +41,48 @@ main()
 
     std::cout << "=== X1: Patel model vs omega-network simulation ===\n\n";
 
-    for (const auto &[stages, size] :
-         std::vector<std::pair<unsigned, double>>{{4, 12.0}, {6, 16.0},
-                                                  {8, 20.0}}) {
+    // Every point is independent, so they all fan out over the pool,
+    // widest networks first so the lanes finish together. Printing
+    // below looks each one up, so the output matches a serial run.
+    std::vector<PointSpec> specs;
+    for (auto net = kNetworks.rbegin(); net != kNetworks.rend(); ++net) {
+        for (double rate : kRates) {
+            for (NetMode mode : {NetMode::UnitRequest, NetMode::Circuit}) {
+                specs.push_back({rate, net->second, net->first, mode, 2});
+            }
+        }
+    }
+    for (double rate : kWideRates) {
+        specs.push_back({rate, 10.0, 3, NetMode::Circuit, 4});
+    }
+    const std::vector<NetworkValidationPoint> points =
+        parallelMap(specs.size(), [&](std::size_t i) {
+            const PointSpec &spec = specs[i];
+            return validateNetworkPoint(spec.rate, spec.size, spec.stages,
+                                        spec.mode, 120'000, 42,
+                                        spec.switchDim);
+        });
+    const auto at = [&](unsigned stages, double rate, NetMode mode,
+                        unsigned dim) -> const NetworkValidationPoint & {
+        for (const NetworkValidationPoint &point : points) {
+            if (point.stages == stages && point.rate == rate &&
+                point.mode == mode && point.switchDim == dim) {
+                return point;
+            }
+        }
+        throw std::logic_error("X1 point was not simulated");
+    };
+
+    for (const auto &[stages, size] : kNetworks) {
         std::cout << "--- " << (1u << stages) << " processors, message "
                   << formatNumber(size, 0) << " cycles ---\n";
         TextTable table({"rate", "mode", "sim U", "model U", "error %",
                          "sim accept", "model accept"});
-        for (double rate : {0.005, 0.01, 0.02, 0.04, 0.08}) {
+        for (double rate : kRates) {
             for (NetMode mode : {NetMode::UnitRequest,
                                  NetMode::Circuit}) {
-                const NetworkValidationPoint point =
-                    validateNetworkPoint(rate, size, stages, mode,
-                                         120'000, 42);
+                const NetworkValidationPoint &point =
+                    at(stages, rate, mode, 2);
                 table.addRow(
                     {formatNumber(rate, 3),
                      mode == NetMode::UnitRequest ? "unit" : "circuit",
@@ -46,8 +98,8 @@ main()
     }
 
     // Per-stage load recursion check at one operating point.
-    const NetworkValidationPoint point = validateNetworkPoint(
-        0.04, 16.0, 6, NetMode::UnitRequest, 120'000, 42);
+    const NetworkValidationPoint &point =
+        at(6, 0.04, NetMode::UnitRequest, 2);
     std::cout << "Per-stage loads m_i at rate 0.04, 64 processors "
                  "(recursion seeded with the\nsimulator's m_0):\n\n";
     TextTable loads({"stage", "sim m_i", "model m_i"});
@@ -63,9 +115,9 @@ main()
     std::cout << "\n64 processors from 4x4 switches (3 stages), "
                  "circuit mode:\n\n";
     TextTable kary({"rate", "sim U", "model U", "error %"});
-    for (double rate : {0.01, 0.02, 0.05}) {
-        const NetworkValidationPoint wide = validateNetworkPoint(
-            rate, 10.0, 3, NetMode::Circuit, 120'000, 42, 4);
+    for (double rate : kWideRates) {
+        const NetworkValidationPoint &wide =
+            at(3, rate, NetMode::Circuit, 4);
         kary.addRow({formatNumber(rate, 3),
                      formatNumber(wide.simCompute, 3),
                      formatNumber(wide.modelCompute, 3),

@@ -1,11 +1,13 @@
 #include "core/obs/log.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <mutex>
 #include <ostream>
+#include <vector>
 
 namespace swcc::obs
 {
@@ -35,6 +37,10 @@ levelCell()
 
 std::mutex sink_mutex;
 std::ostream *sink = nullptr;
+
+/** Every SWCC_LOG_WARN site that has fired, in first-fire order. */
+std::mutex sites_mutex;
+std::vector<LogSite *> *sites = nullptr;
 
 } // namespace
 
@@ -120,6 +126,42 @@ logMessage(LogLevel level, const char *file, int line,
     std::ostream &out = sink != nullptr ? *sink : std::cerr;
     out << text;
     out.flush();
+}
+
+bool
+firstLogAtSite(LogSite &site)
+{
+    if (site.hits.fetch_add(1, std::memory_order_relaxed) != 0) {
+        return false;
+    }
+    std::lock_guard<std::mutex> lock(sites_mutex);
+    if (sites == nullptr) {
+        // Never freed: the exit handler below may still walk it.
+        sites = new std::vector<LogSite *>;
+        std::atexit(flushLogRepeats);
+    }
+    if (std::find(sites->begin(), sites->end(), &site) == sites->end()) {
+        sites->push_back(&site);
+    }
+    return true;
+}
+
+void
+flushLogRepeats()
+{
+    std::lock_guard<std::mutex> lock(sites_mutex);
+    if (sites == nullptr) {
+        return;
+    }
+    for (LogSite *site : *sites) {
+        const std::uint64_t hits =
+            site->hits.exchange(0, std::memory_order_relaxed);
+        if (hits > 1) {
+            logMessage(LogLevel::Warn, site->file, site->line,
+                       "repeated " + std::to_string(hits - 1) +
+                           " more times");
+        }
+    }
 }
 
 } // namespace swcc::obs

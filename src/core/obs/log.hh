@@ -16,11 +16,19 @@
  * the default (warn). Unlike the metrics and span instrumentation the
  * logger stays functional under SWCC_OBS=OFF: replacing a silent
  * failure with a warning is diagnostics, not instrumentation.
+ *
+ * SWCC_LOG_WARN says each thing once: a call site prints its first
+ * warning only and counts the rest, and flushLogRepeats() (run at
+ * exit) adds one "repeated N more times" line per site that fired
+ * again. A sweep that hits the same fallback on every point therefore
+ * logs two lines, not hundreds.
  */
 
 #ifndef SWCC_CORE_OBS_LOG_HH
 #define SWCC_CORE_OBS_LOG_HH
 
+#include <atomic>
+#include <cstdint>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -70,6 +78,28 @@ void setLogSink(std::ostream *sink);
 void logMessage(LogLevel level, const char *file, int line,
                 const std::string &message);
 
+/** One SWCC_LOG_WARN call site and how often it fired. */
+struct LogSite
+{
+    const char *file;
+    int line;
+    std::atomic<std::uint64_t> hits{0};
+};
+
+/**
+ * Counts one hit at @p site and returns true if it is the first since
+ * the last flushLogRepeats(), i.e. the one to print.
+ */
+bool firstLogAtSite(LogSite &site);
+
+/**
+ * Writes `[warn] file:line: repeated N more times` for every site
+ * whose warnings were suppressed since the last flush, then resets
+ * the counts (a site's next warning prints again). Registered with
+ * std::atexit on the first warning, so a process ends with the counts.
+ */
+void flushLogRepeats();
+
 } // namespace swcc::obs
 
 /** Logs @p msg (a std::string expression, evaluated lazily). */
@@ -83,7 +113,18 @@ void logMessage(LogLevel level, const char *file, int line,
 
 #define SWCC_LOG_DEBUG(msg) SWCC_LOG_AT(::swcc::obs::LogLevel::Debug, msg)
 #define SWCC_LOG_INFO(msg) SWCC_LOG_AT(::swcc::obs::LogLevel::Info, msg)
-#define SWCC_LOG_WARN(msg) SWCC_LOG_AT(::swcc::obs::LogLevel::Warn, msg)
+/** Logs @p msg the first time this call site fires; counts repeats. */
+#define SWCC_LOG_WARN(msg)                                              \
+    do {                                                                \
+        if (::swcc::obs::logEnabled(::swcc::obs::LogLevel::Warn)) {     \
+            static ::swcc::obs::LogSite swcc_log_site{__FILE__,         \
+                                                      __LINE__};        \
+            if (::swcc::obs::firstLogAtSite(swcc_log_site)) {           \
+                ::swcc::obs::logMessage(::swcc::obs::LogLevel::Warn,    \
+                                        __FILE__, __LINE__, (msg));     \
+            }                                                           \
+        }                                                               \
+    } while (0)
 #define SWCC_LOG_ERROR(msg) SWCC_LOG_AT(::swcc::obs::LogLevel::Error, msg)
 
 #endif // SWCC_CORE_OBS_LOG_HH

@@ -805,7 +805,10 @@ ServiceDaemon::Impl::workerBody(unsigned index)
                 if (totalNs < config.slowQueryUs * 1000) {
                     continue;
                 }
-                SWCC_LOG_WARN(
+                // One record per slow query, by design: this is the
+                // per-event path, not the once-per-site SWCC_LOG_WARN.
+                SWCC_LOG_AT(
+                    ::swcc::obs::LogLevel::Warn,
                     "{\"slow_query\":{\"trace_id\":" +
                     std::to_string(s.trace.traceId) +
                     ",\"domain\":\"" +

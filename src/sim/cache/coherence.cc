@@ -1,6 +1,5 @@
 #include "sim/cache/coherence.hh"
 
-#include <atomic>
 #include <string>
 #include <unordered_map>
 
@@ -95,23 +94,14 @@ CoherenceProtocol::setSnoopPath(SnoopPath path)
     if (path == SnoopPath::Directory &&
         numCpus() > kMaxDirectoryCpus) {
         // The silent fallback here once made a 128-CPU "directory"
-        // benchmark measure the scan path; say what actually runs —
-        // but only once, or a >64-CPU sweep drowns the log in the
-        // same warning for every constructed system.
-        static std::atomic<unsigned> fallback_warnings{0};
-        const std::string message =
-            "snoop path Directory requested for " +
-            std::to_string(numCpus()) +
-            " CPUs but the sharer index holds at most " +
-            std::to_string(CoherenceProtocol::kMaxDirectoryCpus) +
-            "; falling back to ReferenceScan";
-        if (fallback_warnings.fetch_add(
-                1, std::memory_order_relaxed) == 0) {
-            SWCC_LOG_WARN(message +
-                          " (further fallback warnings suppressed)");
-        } else {
-            SWCC_LOG_DEBUG(message);
-        }
+        // benchmark measure the scan path; say what actually runs.
+        // SWCC_LOG_WARN prints once per site, so a >64-CPU sweep logs
+        // this once plus a repeat count, not once per system.
+        SWCC_LOG_WARN("snoop path Directory requested for " +
+                      std::to_string(numCpus()) +
+                      " CPUs but the sharer index holds at most " +
+                      std::to_string(CoherenceProtocol::kMaxDirectoryCpus) +
+                      "; falling back to ReferenceScan");
     }
     useDirectory_ = path == SnoopPath::Directory &&
         numCpus() <= kMaxDirectoryCpus;

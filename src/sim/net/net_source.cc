@@ -55,33 +55,6 @@ NetSource::beginRequest(Rng &rng)
 }
 
 void
-NetSource::tick(Rng &rng)
-{
-    switch (state_) {
-      case State::Thinking:
-        if (stateLeft_ <= 0.0) {
-            beginRequest(rng);
-            return;
-        }
-        stateLeft_ -= 1.0;
-        if (stateLeft_ <= 0.0) {
-            beginRequest(rng);
-        }
-        return;
-      case State::Holding:
-        stateLeft_ -= 1.0;
-        if (stateLeft_ <= 0.0) {
-            ++transactions_;
-            beginThink(rng);
-        }
-        return;
-      case State::Requesting:
-        // Requests advance via unitAccepted()/startHolding().
-        return;
-    }
-}
-
-void
 NetSource::unitAccepted(Rng &rng)
 {
     if (state_ != State::Requesting) {
@@ -102,16 +75,6 @@ NetSource::startHolding(double cycles)
     }
     state_ = State::Holding;
     stateLeft_ = cycles;
-}
-
-void
-NetSource::countCycle()
-{
-    switch (state_) {
-      case State::Thinking:   ++thinkCycles_; return;
-      case State::Requesting: ++requestCycles_; return;
-      case State::Holding:    ++holdCycles_; return;
-    }
 }
 
 } // namespace swcc

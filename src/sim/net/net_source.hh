@@ -57,7 +57,31 @@ class NetSource
      * Advances one idle cycle (Thinking or Holding); may transition to
      * Requesting (drawing a destination) or back to Thinking.
      */
-    void tick(Rng &rng);
+    void tick(Rng &rng)
+    {
+        switch (state_) {
+          case State::Thinking:
+            if (stateLeft_ <= 0.0) {
+                beginRequest(rng);
+                return;
+            }
+            stateLeft_ -= 1.0;
+            if (stateLeft_ <= 0.0) {
+                beginRequest(rng);
+            }
+            return;
+          case State::Holding:
+            stateLeft_ -= 1.0;
+            if (stateLeft_ <= 0.0) {
+                ++transactions_;
+                beginThink(rng);
+            }
+            return;
+          case State::Requesting:
+            // Requests advance via unitAccepted()/startHolding().
+            return;
+        }
+    }
 
     /**
      * Reports an accepted unit request; after the transaction's drawn
@@ -77,7 +101,14 @@ class NetSource
     std::uint64_t transactions() const { return transactions_; }
 
     /** Counts this cycle into the current state's total. */
-    void countCycle();
+    void countCycle()
+    {
+        switch (state_) {
+          case State::Thinking:   ++thinkCycles_; return;
+          case State::Requesting: ++requestCycles_; return;
+          case State::Holding:    ++holdCycles_; return;
+        }
+    }
 
   private:
     void beginThink(Rng &rng);

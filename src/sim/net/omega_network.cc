@@ -50,118 +50,114 @@ OmegaNetwork::OmegaNetwork(const OmegaConfig &config)
         sources_.emplace_back(config_.meanThink, config_.messageCycles,
                               ports_);
     }
-    if (config_.mode == NetMode::Circuit) {
-        portFreeAt_.assign(config_.stages,
-                           std::vector<double>(ports_, 0.0));
-    }
-    stageOffered_.assign(config_.stages, 0);
-}
 
-std::vector<std::uint32_t>
-OmegaNetwork::route(const std::vector<std::uint32_t> &requesters)
-{
-    struct Attempt
-    {
-        std::uint32_t source;
-        std::uint32_t dest;
-        std::uint32_t pos;
-        bool alive = true;
-    };
-
-    std::vector<Attempt> attempts;
-    attempts.reserve(requesters.size());
-    for (std::uint32_t src : requesters) {
-        attempts.push_back({src, sources_[src].dest(), src, true});
-    }
-
+    // Routing tables. The k-ary perfect shuffle rotates the top digit
+    // of the port number to the bottom; the destination digit of
+    // weight dim^(n-1-stage) then picks the switch output.
     const unsigned n = config_.stages;
     const std::uint32_t dim = config_.switchDim;
     const std::uint32_t rotate_div = ports_ / dim; // dim^(n-1)
-
-    // winner[p] = index of the attempt currently holding output port p
-    // at this stage, or -1; contenders[p] counts arrivals so that a
-    // uniformly random one survives (reservoir of size one).
-    std::vector<std::int32_t> winner(ports_);
-    std::vector<std::uint32_t> contenders(ports_);
-
+    shuffleBase_.resize(ports_);
+    for (std::uint32_t pos = 0; pos < ports_; ++pos) {
+        const std::uint32_t shuffled =
+            (pos % rotate_div) * dim + pos / rotate_div;
+        shuffleBase_[pos] = shuffled / dim * dim;
+    }
+    digit_.resize(std::size_t{n} * ports_);
+    std::uint32_t digit_div = rotate_div;
     for (unsigned stage = 0; stage < n; ++stage) {
-        std::uint64_t offered = 0;
-        std::fill(winner.begin(), winner.end(), -1);
-        std::fill(contenders.begin(), contenders.end(), 0u);
-
-        // Destination digit weight for this stage: dim^(n-1-stage).
-        std::uint32_t digit_div = 1;
-        for (unsigned i = 0; i + stage + 1 < n; ++i) {
-            digit_div *= dim;
+        for (std::uint32_t dest = 0; dest < ports_; ++dest) {
+            digit_[std::size_t{stage} * ports_ + dest] =
+                dest / digit_div % dim;
         }
+        digit_div /= dim;
+    }
+    invContenders_.resize(std::size_t{dim} + 1);
+    for (std::uint32_t i = 1; i <= dim; ++i) {
+        invContenders_[i] = 1.0 / static_cast<double>(i);
+    }
 
-        for (std::size_t k = 0; k < attempts.size(); ++k) {
-            Attempt &att = attempts[k];
+    attempts_.resize(ports_);
+    slots_.resize(2 * std::size_t{ports_});
+    completed_.assign(ports_, 0);
+    if (config_.mode == NetMode::Circuit) {
+        portFreeAt_.assign(std::size_t{n} * ports_, 0.0);
+    }
+    stageOffered_.assign(n, 0);
+}
+
+std::size_t
+OmegaNetwork::route(std::size_t live)
+{
+    const unsigned n = config_.stages;
+    const bool circuit = config_.mode == NetMode::Circuit;
+
+    // Stage s arbitrates in half s % 2 of slots_. Its pass also frees
+    // the ports the stage s-1 survivors hold in the other half and
+    // compacts the list, so dropping losers costs no extra pass.
+    for (unsigned stage = 0; stage < n; ++stage) {
+        PortSlot *slots = &slots_[(stage & 1u) * ports_];
+        PortSlot *held = &slots_[(~stage & 1u) * ports_];
+        const std::uint32_t *digit = &digit_[std::size_t{stage} * ports_];
+        const double *free_at =
+            circuit ? &portFreeAt_[std::size_t{stage} * ports_] : nullptr;
+
+        std::uint64_t offered = 0;
+        std::size_t kept = 0;
+        for (std::size_t k = 0; k < live; ++k) {
+            Attempt att = attempts_[k];
             if (!att.alive) {
                 continue;
             }
             ++offered;
-
-            // k-ary perfect shuffle into the stage (rotate the top
-            // digit to the bottom), then destination-digit routing.
-            const std::uint32_t shuffled = n == 1
-                ? att.pos
-                : (att.pos % rotate_div) * dim + att.pos / rotate_div;
-            const std::uint32_t out_digit =
-                (att.dest / digit_div) % dim;
-            const std::uint32_t port =
-                (shuffled / dim) * dim + out_digit;
-
-            if (config_.mode == NetMode::Circuit &&
-                portFreeAt_[stage][port] > now_) {
-                att.alive = false;
+            held[att.pos].contenders = 0;
+            const std::uint32_t port = shuffleBase_[att.pos] + digit[att.dest];
+            if (circuit && free_at[port] > now_) {
                 continue;
             }
 
-            const std::uint32_t count = ++contenders[port];
-            const std::int32_t holder = winner[port];
-            if (holder < 0) {
-                winner[port] = static_cast<std::int32_t>(k);
-                att.pos = port;
-                continue;
-            }
             // Up to dim inputs of one switch may want this output: the
             // i-th contender replaces the incumbent with probability
-            // 1/i, making the final survivor uniform.
-            if (rng_.chance(1.0 / static_cast<double>(count))) {
-                attempts[static_cast<std::size_t>(holder)].alive = false;
-                winner[port] = static_cast<std::int32_t>(k);
-                att.pos = port;
-            } else {
-                att.alive = false;
+            // 1/i, making the final survivor uniform (reservoir of
+            // size one).
+            PortSlot &slot = slots[port];
+            const std::uint32_t count = ++slot.contenders;
+            if (count > 1) {
+                if (!rng_.chance(invContenders_[count])) {
+                    continue;
+                }
+                attempts_[slot.winner].alive = false;
             }
+            slot.winner = static_cast<std::uint32_t>(kept);
+            att.pos = port;
+            attempts_[kept++] = att;
         }
         stageOffered_[stage] += offered;
+        live = kept;
     }
 
-    std::vector<std::uint32_t> accepted;
-    for (const Attempt &att : attempts) {
+    // Drop the last stage's displaced winners and free its ports.
+    PortSlot *held = &slots_[((n - 1) & 1u) * ports_];
+    std::size_t accepted = 0;
+    for (std::size_t k = 0; k < live; ++k) {
+        const Attempt att = attempts_[k];
         if (att.alive) {
-            accepted.push_back(att.source);
+            held[att.pos].contenders = 0;
+            attempts_[accepted++] = att;
         }
     }
 
-    if (config_.mode == NetMode::Circuit) {
+    if (circuit) {
         // Winners claim every output port along their path for the
         // whole message duration.
-        for (std::uint32_t src : accepted) {
-            std::uint32_t pos = src;
-            const std::uint32_t dest = sources_[src].dest();
-            std::uint32_t digit_div = ports_ / dim; // dim^(n-1)
+        const double until = now_ + config_.messageCycles;
+        for (std::size_t k = 0; k < accepted; ++k) {
+            std::uint32_t pos = attempts_[k].source;
+            const std::uint32_t dest = attempts_[k].dest;
             for (unsigned stage = 0; stage < n; ++stage) {
-                const std::uint32_t shuffled = n == 1
-                    ? pos
-                    : (pos % rotate_div) * dim + pos / rotate_div;
-                const std::uint32_t out_digit =
-                    (dest / digit_div) % dim;
-                pos = (shuffled / dim) * dim + out_digit;
-                portFreeAt_[stage][pos] = now_ + config_.messageCycles;
-                digit_div /= dim;
+                const std::size_t row = std::size_t{stage} * ports_;
+                pos = shuffleBase_[pos] + digit_[row + dest];
+                portFreeAt_[row + pos] = until;
             }
         }
     }
@@ -171,29 +167,27 @@ OmegaNetwork::route(const std::vector<std::uint32_t> &requesters)
 void
 OmegaNetwork::stepCycle()
 {
-    for (NetSource &source : sources_) {
-        source.countCycle();
-    }
-
-    std::vector<std::uint32_t> requesters;
+    std::size_t live = 0;
     for (std::uint32_t i = 0; i < ports_; ++i) {
-        if (sources_[i].state() == NetSource::State::Requesting) {
-            requesters.push_back(i);
+        NetSource &source = sources_[i];
+        source.countCycle();
+        if (source.state() == NetSource::State::Requesting) {
+            attempts_[live++] = {i, source.dest(), i, true};
         }
     }
 
-    attempts_ += requesters.size();
-    const std::vector<std::uint32_t> accepted = route(requesters);
-    accepted_ += accepted.size();
+    totalAttempts_ += live;
+    const std::size_t accepted = route(live);
+    totalAccepted_ += accepted;
 
     // A source whose transaction completes this cycle must not also
     // consume a think cycle now; its thinking starts next cycle.
-    std::vector<std::uint8_t> completed(ports_, 0);
-    for (std::uint32_t src : accepted) {
+    for (std::size_t k = 0; k < accepted; ++k) {
+        const std::uint32_t src = attempts_[k].source;
         if (config_.mode == NetMode::UnitRequest) {
             sources_[src].unitAccepted(rng_);
             if (sources_[src].state() == NetSource::State::Thinking) {
-                completed[src] = 1;
+                completed_[src] = 1;
             }
         } else {
             // The setup cycle is the first held cycle, so the new
@@ -205,9 +199,12 @@ OmegaNetwork::stepCycle()
     for (std::uint32_t i = 0; i < ports_; ++i) {
         NetSource &source = sources_[i];
         if (source.state() != NetSource::State::Requesting &&
-            completed[i] == 0) {
+            completed_[i] == 0) {
             source.tick(rng_);
         }
+    }
+    for (std::size_t k = 0; k < accepted; ++k) {
+        completed_[attempts_[k].source] = 0;
     }
 
     now_ += 1.0;
@@ -219,11 +216,12 @@ OmegaNetwork::run(std::uint64_t cycles)
     for (std::uint64_t c = 0; c < cycles; ++c) {
         stepCycle();
     }
+    cyclesRun_ += cycles;
 
     OmegaStats stats;
-    stats.cycles = cycles;
-    stats.attempts = attempts_;
-    stats.accepted = accepted_;
+    stats.cycles = cyclesRun_;
+    stats.attempts = totalAttempts_;
+    stats.accepted = totalAccepted_;
 
     std::uint64_t think = 0;
     std::uint64_t total = 0;
@@ -236,21 +234,22 @@ OmegaNetwork::run(std::uint64_t cycles)
     stats.computeFraction = total > 0
         ? static_cast<double>(think) / static_cast<double>(total)
         : 0.0;
-    stats.acceptance = attempts_ > 0
-        ? static_cast<double>(accepted_) / static_cast<double>(attempts_)
+    stats.acceptance = totalAttempts_ > 0
+        ? static_cast<double>(totalAccepted_) /
+            static_cast<double>(totalAttempts_)
         : 1.0;
 
     const double port_cycles =
-        static_cast<double>(cycles) * static_cast<double>(ports_);
+        static_cast<double>(cyclesRun_) * static_cast<double>(ports_);
     stats.stageLoads.reserve(config_.stages + 1);
     for (unsigned stage = 0; stage < config_.stages; ++stage) {
         stats.stageLoads.push_back(
             static_cast<double>(stageOffered_[stage]) / port_cycles);
     }
     stats.stageLoads.push_back(
-        static_cast<double>(accepted_) / port_cycles);
+        static_cast<double>(totalAccepted_) / port_cycles);
     stats.throughputPerPort =
-        static_cast<double>(accepted_) / port_cycles;
+        static_cast<double>(totalAccepted_) / port_cycles;
     return stats;
 }
 

@@ -9,6 +9,7 @@
 #ifndef SWCC_SIM_NET_OMEGA_NETWORK_HH
 #define SWCC_SIM_NET_OMEGA_NETWORK_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -55,6 +56,7 @@ struct OmegaConfig
 /** Aggregate results of a network simulation. */
 struct OmegaStats
 {
+    /** Network cycles simulated, over every run() call. */
     std::uint64_t cycles = 0;
     /** Unit-request (or setup) attempts presented to stage 0. */
     std::uint64_t attempts = 0;
@@ -88,33 +90,76 @@ class OmegaNetwork
   public:
     explicit OmegaNetwork(const OmegaConfig &config);
 
-    /** Runs @p cycles network cycles and returns the statistics. */
+    /**
+     * Runs @p cycles more network cycles and returns the statistics
+     * of every cycle simulated so far: run(a) then run(b) reports the
+     * same as a fresh network's run(a + b).
+     */
     OmegaStats run(std::uint64_t cycles);
 
     /** Number of ports (switchDim^stages). */
     std::uint32_t ports() const { return ports_; }
 
   private:
+    /** One request travelling through the stages this cycle. */
+    struct Attempt
+    {
+        std::uint32_t source;
+        std::uint32_t dest;
+        /** Source port, then the output port won at the last stage. */
+        std::uint32_t pos;
+        bool alive;
+    };
+
+    /** Arbitration state of one switch output port within a stage. */
+    struct PortSlot
+    {
+        /** Attempts that reached the port; 0 means the port is free. */
+        std::uint32_t contenders = 0;
+        /** Index of the attempt currently holding the port. */
+        std::uint32_t winner = 0;
+    };
+
     /** One synchronous network cycle. */
     void stepCycle();
 
-    /** Routes this cycle's attempts, returning accepted source ids. */
-    std::vector<std::uint32_t> route(
-        const std::vector<std::uint32_t> &requesters);
+    /**
+     * Routes the first @p live entries of attempts_ through every
+     * stage. Returns how many were accepted; they are left, in source
+     * order, at the front of attempts_.
+     */
+    std::size_t route(std::size_t live);
 
     OmegaConfig config_;
     std::uint32_t ports_;
     Rng rng_;
     std::vector<NetSource> sources_;
 
-    /** Circuit mode: cycle at which each stage output port frees. */
-    std::vector<std::vector<double>> portFreeAt_;
+    /**
+     * First output port of the switch that input port p feeds after
+     * the k-ary perfect shuffle (the same at every stage).
+     */
+    std::vector<std::uint32_t> shuffleBase_;
+    /** stages x ports: destination digit selecting the stage output. */
+    std::vector<std::uint32_t> digit_;
+    /** invContenders_[i] = 1/i, the i-th contender's chance to win. */
+    std::vector<double> invContenders_;
+
+    /** Per-cycle scratch, sized once so a cycle allocates nothing. */
+    std::vector<Attempt> attempts_;
+    std::vector<PortSlot> slots_;
+    std::vector<std::uint8_t> completed_;
+
+    /** Circuit mode, stages x ports: cycle at which each output frees. */
+    std::vector<double> portFreeAt_;
     double now_ = 0.0;
 
+    /** Cycles simulated over every run() call. */
+    std::uint64_t cyclesRun_ = 0;
     /** Per-stage sums of offered requests, for stage loads. */
     std::vector<std::uint64_t> stageOffered_;
-    std::uint64_t attempts_ = 0;
-    std::uint64_t accepted_ = 0;
+    std::uint64_t totalAttempts_ = 0;
+    std::uint64_t totalAccepted_ = 0;
 };
 
 } // namespace swcc

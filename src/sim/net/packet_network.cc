@@ -236,9 +236,10 @@ PacketOmegaNetwork::run(std::uint64_t cycles)
     for (std::uint64_t c = 0; c < cycles; ++c) {
         stepCycle();
     }
+    cyclesRun_ += cycles;
 
     PacketNetStats stats;
-    stats.cycles = cycles;
+    stats.cycles = cyclesRun_;
     std::uint64_t think = 0;
     std::uint64_t total = 0;
     double latency = 0.0;
@@ -255,7 +256,7 @@ PacketOmegaNetwork::run(std::uint64_t cycles)
         ? latency / static_cast<double>(stats.transactions)
         : 0.0;
 
-    const double link_cycles = static_cast<double>(cycles) *
+    const double link_cycles = static_cast<double>(cyclesRun_) *
         static_cast<double>(ports_) * config_.stages;
     stats.linkLoad = std::max(
         static_cast<double>(wordCyclesForward_),

@@ -55,6 +55,7 @@ struct PacketNetConfig
 /** Aggregate results of a packet-network simulation. */
 struct PacketNetStats
 {
+    /** Network cycles simulated, over every run() call. */
     std::uint64_t cycles = 0;
     std::uint64_t transactions = 0;
     /** Fraction of source cycles spent computing. */
@@ -77,7 +78,11 @@ class PacketOmegaNetwork
   public:
     explicit PacketOmegaNetwork(const PacketNetConfig &config);
 
-    /** Runs @p cycles network cycles and returns the statistics. */
+    /**
+     * Runs @p cycles more network cycles and returns the statistics
+     * of every cycle simulated so far: run(a) then run(b) reports the
+     * same as a fresh network's run(a + b).
+     */
     PacketNetStats run(std::uint64_t cycles);
 
     std::uint32_t ports() const { return ports_; }
@@ -149,6 +154,8 @@ class PacketOmegaNetwork
     std::vector<Source> sources_;
     std::vector<Memory> memories_;
     double now_ = 0.0;
+    /** Cycles simulated over every run() call. */
+    std::uint64_t cyclesRun_ = 0;
     std::uint64_t wordCyclesForward_ = 0;
     std::uint64_t wordCyclesBackward_ = 0;
     std::size_t maxQueueDepth_ = 0;

@@ -19,12 +19,6 @@ splitMix64(std::uint64_t &state)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -45,27 +39,6 @@ Rng::split(std::uint64_t index) const
     mix ^= rotl(state_[1], 13) ^ rotl(state_[2], 29) ^ rotl(state_[3], 43);
     mix += 0x9e3779b97f4a7c15ull * (index + 1);
     return Rng(mix);
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 random mantissa bits.
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 std::uint64_t
@@ -91,18 +64,6 @@ Rng::between(std::uint64_t lo, std::uint64_t hi)
         throw std::invalid_argument("Rng::between needs lo <= hi");
     }
     return lo + below(hi - lo + 1);
-}
-
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0) {
-        return false;
-    }
-    if (p >= 1.0) {
-        return true;
-    }
-    return uniform() < p;
 }
 
 std::uint64_t

@@ -27,7 +27,18 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x5eed5eed5eed5eedull);
 
     /** Next raw 64-bit output. */
-    std::uint64_t next();
+    std::uint64_t next()
+    {
+        const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+        const std::uint64_t t = state_[1] << 17;
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = rotl(state_[3], 45);
+        return result;
+    }
 
     /**
      * Derived independent stream for cell @p index; the parent's state
@@ -38,8 +49,11 @@ class Rng
      */
     Rng split(std::uint64_t index) const;
 
-    /** Uniform double in [0, 1). */
-    double uniform();
+    /** Uniform double in [0, 1) from 53 random mantissa bits. */
+    double uniform()
+    {
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform integer in [0, bound) ; bound must be positive. */
     std::uint64_t below(std::uint64_t bound);
@@ -47,8 +61,20 @@ class Rng
     /** Uniform integer in [lo, hi] inclusive. */
     std::uint64_t between(std::uint64_t lo, std::uint64_t hi);
 
-    /** Bernoulli trial with success probability @p p. */
-    bool chance(double p);
+    /**
+     * Bernoulli trial with success probability @p p. Draws nothing
+     * when the outcome is certain (p <= 0 or p >= 1).
+     */
+    bool chance(double p)
+    {
+        if (p <= 0.0) {
+            return false;
+        }
+        if (p >= 1.0) {
+            return true;
+        }
+        return uniform() < p;
+    }
 
     /**
      * Geometric number of trials until first success (support {1, 2,
@@ -66,6 +92,11 @@ class Rng
     std::uint64_t zipf(std::uint64_t n, double s);
 
   private:
+    static std::uint64_t rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::array<std::uint64_t, 4> state_;
 };
 

@@ -190,6 +190,73 @@ TEST(LogTest, LevelsFilterAndCaptureCallSite)
     EXPECT_NE(text.find("something fell back"), std::string::npos);
 }
 
+TEST(LogTest, WarnPrintsOncePerSiteThenCountsRepeats)
+{
+    LogCaptureGuard guard;
+    obs::setLogLevel(obs::LogLevel::Warn);
+    obs::flushLogRepeats();
+    for (int i = 0; i < 5; ++i) {
+        SWCC_LOG_WARN("fallback " + std::to_string(i));
+    }
+    SWCC_LOG_WARN("another site");
+    const std::string before = guard.captured.str();
+    EXPECT_NE(before.find("fallback 0"), std::string::npos);
+    EXPECT_EQ(before.find("fallback 1"), std::string::npos);
+    EXPECT_NE(before.find("another site"), std::string::npos);
+
+    obs::flushLogRepeats();
+    const std::string after = guard.captured.str().substr(before.size());
+    // One count line, for the site that fired more than once.
+    EXPECT_NE(after.find("repeated 4 more times"), std::string::npos)
+        << after;
+    EXPECT_EQ(after.find("repeated", after.find("repeated") + 1),
+              std::string::npos)
+        << after;
+    EXPECT_NE(after.find("test_obs.cc:"), std::string::npos);
+
+    // A flush resets the counts, so nothing is reported twice.
+    obs::flushLogRepeats();
+    EXPECT_EQ(guard.captured.str().size(), before.size() + after.size());
+}
+
+TEST(LogTest, WarnOncePerSiteAcrossThreads)
+{
+    LogCaptureGuard guard;
+    obs::setLogLevel(obs::LogLevel::Warn);
+    obs::flushLogRepeats();
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([] {
+            for (int i = 0; i < 100; ++i) {
+                SWCC_LOG_WARN("shared fallback");
+            }
+        });
+    }
+    for (std::thread &thread : threads) {
+        thread.join();
+    }
+    obs::flushLogRepeats();
+    const std::string text = guard.captured.str();
+    const std::size_t first = text.find("shared fallback");
+    ASSERT_NE(first, std::string::npos) << text;
+    EXPECT_EQ(text.find("shared fallback", first + 1), std::string::npos)
+        << text;
+    EXPECT_NE(text.find("repeated 399 more times"), std::string::npos)
+        << text;
+}
+
+TEST(LogTest, ErrorIsNotDeduplicated)
+{
+    LogCaptureGuard guard;
+    obs::setLogLevel(obs::LogLevel::Warn);
+    for (int i = 0; i < 3; ++i) {
+        SWCC_LOG_ERROR("failure " + std::to_string(i));
+    }
+    const std::string text = guard.captured.str();
+    EXPECT_NE(text.find("failure 0"), std::string::npos);
+    EXPECT_NE(text.find("failure 2"), std::string::npos);
+}
+
 TEST(LogTest, LazyMessageIsNotEvaluatedBelowLevel)
 {
     LogCaptureGuard guard;

@@ -69,6 +69,29 @@ TEST(OmegaNetworkTest, StageLoadsDecreaseMonotonically)
     }
 }
 
+TEST(OmegaNetworkTest, SplitRunsMatchOneRun)
+{
+    // Counters accumulate across run() calls, so the statistics are
+    // normalised by every cycle simulated, not only the last call's.
+    for (NetMode mode : {NetMode::UnitRequest, NetMode::Circuit}) {
+        OmegaNetwork split(config(4, 10.0, 8.0, mode, 3));
+        (void)split.run(1'500);
+        const OmegaStats twice = split.run(2'500);
+        OmegaNetwork whole(config(4, 10.0, 8.0, mode, 3));
+        const OmegaStats once = whole.run(4'000);
+
+        EXPECT_EQ(twice.cycles, 4'000u);
+        EXPECT_EQ(twice.cycles, once.cycles);
+        EXPECT_EQ(twice.attempts, once.attempts);
+        EXPECT_EQ(twice.accepted, once.accepted);
+        EXPECT_EQ(twice.transactions, once.transactions);
+        EXPECT_EQ(twice.computeFraction, once.computeFraction);
+        EXPECT_EQ(twice.acceptance, once.acceptance);
+        EXPECT_EQ(twice.throughputPerPort, once.throughputPerPort);
+        EXPECT_EQ(twice.stageLoads, once.stageLoads);
+    }
+}
+
 TEST(OmegaNetworkTest, DeterministicPerSeed)
 {
     OmegaNetwork a(config(4, 20.0, 8.0, NetMode::UnitRequest, 5));

@@ -54,6 +54,30 @@ TEST(PacketNetworkTest, RunsAndCompletesTransactions)
     EXPECT_GT(stats.maxQueueDepth, 0u);
 }
 
+TEST(PacketNetworkTest, SplitRunsMatchOneRun)
+{
+    // Counters accumulate across run() calls, so the link load is
+    // normalised by every cycle simulated, not only the last call's.
+    PacketNetConfig bounded = config(4, 8.0, 2, 4, 5);
+    bounded.bufferWords = 2;
+    for (const PacketNetConfig &c : {config(4, 12.0, 1, 4, 5), bounded}) {
+        PacketOmegaNetwork split(c);
+        (void)split.run(1'500);
+        const PacketNetStats twice = split.run(2'500);
+        PacketOmegaNetwork whole(c);
+        const PacketNetStats once = whole.run(4'000);
+
+        EXPECT_EQ(twice.cycles, 4'000u);
+        EXPECT_EQ(twice.cycles, once.cycles);
+        EXPECT_EQ(twice.transactions, once.transactions);
+        EXPECT_EQ(twice.computeFraction, once.computeFraction);
+        EXPECT_EQ(twice.meanLatency, once.meanLatency);
+        EXPECT_EQ(twice.linkLoad, once.linkLoad);
+        EXPECT_EQ(twice.maxQueueDepth, once.maxQueueDepth);
+        EXPECT_EQ(twice.backpressureStalls, once.backpressureStalls);
+    }
+}
+
 TEST(PacketNetworkTest, DeterministicPerSeed)
 {
     PacketOmegaNetwork a(config(4, 20.0, 1, 4, 7));
