@@ -13,7 +13,6 @@
 #include <iostream>
 #include <vector>
 
-#include "core/campaign/campaign.hh"
 #include "core/obs/obs.hh"
 #include "core/parallel.hh"
 #include "core/swcc.hh"
@@ -31,13 +30,6 @@ main(int argc, char **argv)
     constexpr std::array kSchemes{Scheme::Base, Scheme::Dragon};
     constexpr CpuId kMaxCpus = 4;
 
-    // Journaled + resumable when SWCC_JOURNAL_DIR is set: every
-    // (profile, scheme, cpus) cell lands in one shared journal, so a
-    // killed figure run picks up where it left off.
-    const campaign::CampaignOptions campaign_options =
-        campaign::envCampaignOptions("fig01");
-    campaign::CampaignReport report;
-
     for (AppProfile profile : kAllProfiles) {
         // Each scheme's 1..kMaxCpus cells are independent simulations
         // fanned across the pool by validate(); render serially.
@@ -50,12 +42,10 @@ main(int argc, char **argv)
             config.maxCpus = kMaxCpus;
             config.instructionsPerCpu = 120'000;
             config.seed = 1989;
-            campaign::CampaignReport scheme_report;
             const std::vector<ValidationPoint> scheme_points =
-                validate(config, campaign_options, &scheme_report);
+                validate(config);
             points.insert(points.end(), scheme_points.begin(),
                           scheme_points.end());
-            report.merge(scheme_report);
         }
 
         TextTable table({"scheme", "cpus", "sim power", "model power",
@@ -101,9 +91,6 @@ main(int argc, char **argv)
                  "vs fixed bus service),\n"
                  "so model power sits slightly below simulation at "
                  "higher processor counts.\n";
-    if (report.fromJournal + report.retries + report.poisoned > 0) {
-        std::cerr << "campaign: " << report.summary() << '\n';
-    }
     obs::finalize();
     return 0;
 }

@@ -1,9 +1,9 @@
 /**
  * @file
- * Thread-scaling harness for the campaign engine: times the Table 8
+ * Thread-scaling harness for the experiment grids: times the Table 8
  * sensitivity grid and a trace-driven validation matrix at 1/2/4/8
- * threads, each with journaling off and on, checks every configuration
- * produces bit-identical results, and writes the measured matrix to
+ * threads, checks every configuration produces bit-identical results,
+ * and writes the measured matrix to
  * bench_results/perf_parallel_speedup.csv. A solver-memo section
  * times the analytical evaluators cache-cold vs cache-warm.
  *
@@ -27,7 +27,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -70,12 +69,11 @@ bestOf(int reps, Body &&body)
 
 /** The grid-averaged Table 8 (108 cells x 27-point companion grids). */
 std::vector<SensitivityEntry>
-sensitivityWork(const BenchConfig &bench,
-                const campaign::CampaignOptions &options)
+sensitivityWork(const BenchConfig &bench)
 {
     SensitivityConfig config;
     config.averageOverGrid = !bench.smoke;
-    return sensitivityTable(config, options);
+    return sensitivityTable(config);
 }
 
 /**
@@ -84,8 +82,7 @@ sensitivityWork(const BenchConfig &bench,
  * so the matrix is identical however the cells are scheduled.
  */
 std::vector<ValidationPoint>
-validationWork(const BenchConfig &bench,
-               const campaign::CampaignOptions &options)
+validationWork(const BenchConfig &bench)
 {
     const Rng seeder(1989);
     std::vector<ValidationPoint> matrix;
@@ -96,7 +93,7 @@ validationWork(const BenchConfig &bench,
         config.maxCpus = bench.smoke ? 2 : 4;
         config.instructionsPerCpu = bench.smoke ? 20'000 : 40'000;
         config.seed = seeder.split(cell++).next();
-        const auto points = validate(config, options);
+        const auto points = validate(config);
         matrix.insert(matrix.end(), points.begin(), points.end());
     }
     return matrix;
@@ -135,21 +132,10 @@ identicalValidation(const std::vector<ValidationPoint> &a,
     return true;
 }
 
-/** Journal path for one timed configuration; removed before use. */
-std::string
-journalPath(const std::string &tag)
-{
-    const auto path = std::filesystem::temp_directory_path() /
-        ("swcc_bench_parallel_" + tag + ".journal");
-    std::filesystem::remove(path);
-    return path.string();
-}
-
 /**
- * Times @p work at every thread count with journaling off and on,
- * verifying each configuration reproduces the 1-thread no-journal
- * result bit for bit. Returns the best no-journal speedup measured at
- * @p assert_threads (0.0 when that count was not run).
+ * Times @p work at every thread count, verifying each configuration
+ * reproduces the 1-thread result bit for bit. Returns the speedup
+ * measured at @p assert_threads (0.0 when that count was not run).
  */
 template <typename Work, typename Identical>
 double
@@ -163,40 +149,24 @@ sweepConfigurations(TextTable &table, const BenchConfig &bench,
     // and hide the scheduling behaviour this bench exists to watch.
     setSolverCacheEnabled(false);
 
-    campaign::CampaignOptions plain;
     setThreadCount(1);
-    const auto reference = work(plain);
-    const double serial = bestOf(bench.reps, [&] { work(plain); });
+    const auto reference = work();
+    const double serial = bestOf(bench.reps, work);
 
     double at_assert_threads = 0.0;
     for (unsigned threads : bench.threads) {
         setThreadCount(threads);
 
-        const auto no_journal_result = work(plain);
-        const double no_journal =
-            bestOf(bench.reps, [&] { work(plain); });
-
-        campaign::CampaignOptions journaled;
-        journaled.journalPath =
-            journalPath(name + "_t" + std::to_string(threads));
-        const auto journal_result = work(journaled);
-        const double journal = bestOf(bench.reps, [&] {
-            std::filesystem::remove(journaled.journalPath);
-            work(journaled);
-        });
-        std::filesystem::remove(journaled.journalPath);
-
-        const bool ok = identical(reference, no_journal_result) &&
-            identical(reference, journal_result);
+        const bool ok = identical(reference, work());
         all_identical = all_identical && ok;
 
-        const double speedup = serial / no_journal;
+        const double elapsed = bestOf(bench.reps, work);
+        const double speedup = serial / elapsed;
         if (threads == assert_threads) {
             at_assert_threads = speedup;
         }
         table.addRow({name, std::to_string(threads),
-                      formatNumber(no_journal * 1e3, 1),
-                      formatNumber(journal * 1e3, 1),
+                      formatNumber(elapsed * 1e3, 1),
                       formatNumber(speedup, 2) + "x",
                       ok ? "yes" : "NO"});
     }
@@ -207,7 +177,7 @@ sweepConfigurations(TextTable &table, const BenchConfig &bench,
 
 /**
  * Times the analytical evaluators cache-cold vs cache-warm: the same
- * power curves and sensitivity solves a campaign re-issues, keyed into
+ * power curves and sensitivity solves a sweep re-issues, keyed into
  * the solver memo. Appends two rows; returns the warm speedup.
  */
 double
@@ -244,10 +214,10 @@ memoRows(TextTable &table, const BenchConfig &bench,
 
     const double speedup = cold / warm;
     table.addRow({"solver memo (cold)", "1",
-                  formatNumber(cold * 1e3, 3), "-", "1.00x",
+                  formatNumber(cold * 1e3, 3), "1.00x",
                   ok ? "yes" : "NO"});
     table.addRow({"solver memo (warm)", "1",
-                  formatNumber(warm * 1e3, 3), "-",
+                  formatNumber(warm * 1e3, 3),
                   formatNumber(speedup, 2) + "x",
                   ok ? "yes" : "NO"});
     return speedup;
@@ -255,7 +225,7 @@ memoRows(TextTable &table, const BenchConfig &bench,
 
 /**
  * Times the batched network fixed-point sweep with the vector kernels
- * off and on — the campaign sweep shape: many operating points at one
+ * off and on — the parameter-sweep shape: many operating points at one
  * machine size. Verifies the two modes agree bit for bit, appends two
  * rows, and returns the vector speedup (1.0 on scalar-only hosts).
  */
@@ -297,10 +267,10 @@ simdRows(TextTable &table, const BenchConfig &bench,
 
     const double speedup = scalar / vector;
     table.addRow({"network sweep (simd off)", "1",
-                  formatNumber(scalar * 1e3, 3), "-", "1.00x",
+                  formatNumber(scalar * 1e3, 3), "1.00x",
                   ok ? "yes" : "NO"});
     table.addRow({"network sweep (simd on)", "1",
-                  formatNumber(vector * 1e3, 3), "-",
+                  formatNumber(vector * 1e3, 3),
                   formatNumber(speedup, 2) + "x",
                   ok ? "yes" : "NO"});
     return speedup;
@@ -331,24 +301,20 @@ main(int argc, char **argv)
         }
     }
 
-    std::cout << "=== Campaign engine thread scaling ("
+    std::cout << "=== Experiment-grid thread scaling ("
               << hardwareThreads() << " hardware threads) ===\n\n";
 
-    TextTable table({"experiment", "threads", "no journal ms",
-                     "journal ms", "speedup", "identical"});
+    TextTable table(
+        {"experiment", "threads", "ms", "speedup", "identical"});
     bool all_identical = true;
 
     const double sensitivity_speedup = sweepConfigurations(
         table, bench, "sensitivity grid (Table 8)",
-        [&](const campaign::CampaignOptions &options) {
-            return sensitivityWork(bench, options);
-        },
+        [&] { return sensitivityWork(bench); },
         identicalSensitivity, 4, all_identical);
     sweepConfigurations(
         table, bench, "validation matrix",
-        [&](const campaign::CampaignOptions &options) {
-            return validationWork(bench, options);
-        },
+        [&] { return validationWork(bench); },
         identicalValidation, 4, all_identical);
     memoRows(table, bench, all_identical);
     const double simd_speedup = simdRows(table, bench, all_identical);

@@ -566,7 +566,7 @@ main(int argc, char **argv)
         } else {
             // Dedicated head-to-head, best of 3 per configuration:
             // memo-cold, 4 client threads, a deep pipeline, and a
-            // 2-scenario mix (the campaign curve-sweep shape the
+            // 2-scenario mix (the curve-sweep shape the
             // kernel's group-coalescing exists for). The matrix rows
             // above stay informational.
             (void)qps_batched_4t;

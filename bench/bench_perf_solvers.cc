@@ -6,7 +6,7 @@
  * microseconds, versus seconds for a trace-driven simulation). The
  * curve and memo benchmarks measure the batched solver kernels: one
  * MVA pass per power curve and memoized re-evaluation of repeated
- * operating points. Thread scaling of the campaign engine lives in
+ * operating points. Thread scaling of the experiment grids lives in
  * bench_perf_parallel.
  */
 
@@ -106,7 +106,7 @@ BENCHMARK(BM_NetworkCurve)->Arg(8)->Arg(12);
 void
 BM_NetworkBatch(benchmark::State &state)
 {
-    // The campaign sweep shape: many operating points on one machine
+    // The parameter-sweep shape: many operating points on one machine
     // size (uniform stage count), varying workload intensity. This is
     // the throughput-bound case the vector sweep targets — every
     // 4-lane group takes the no-mask fast path.
@@ -149,7 +149,7 @@ void
 BM_FullBusEvaluationMemoWarm(benchmark::State &state)
 {
     // The same evaluations served from the solver memo: what a
-    // campaign pays when it revisits an operating point.
+    // sweep pays when it revisits an operating point.
     const WorkloadParams params = middleParams();
     setSolverCacheEnabled(true);
     clearSolverCache();

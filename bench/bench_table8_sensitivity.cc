@@ -8,7 +8,6 @@
 
 #include <iostream>
 
-#include "core/campaign/campaign.hh"
 #include "core/obs/obs.hh"
 #include "core/swcc.hh"
 
@@ -20,11 +19,7 @@ main(int argc, char **argv)
 
     SensitivityConfig config;
     config.processors = 16;
-    // Journaled + resumable when SWCC_JOURNAL_DIR is set (see
-    // campaign.hh); the default is a plain uncheckpointed run.
-    campaign::CampaignReport report;
-    const auto table = sensitivityTable(
-        config, campaign::envCampaignOptions("table8"), &report);
+    const auto table = sensitivityTable(config);
 
     std::cout << "Table 8: Sensitivity to parameter variation "
                  "(% change in execution time, low -> high,\n"
@@ -70,9 +65,6 @@ main(int argc, char **argv)
                  "  - No-Cache: same picture minus apl.\n"
                  "  - Dragon: overall hit rate beats sharing level.\n"
                  "  - wr unimportant everywhere.\n";
-    if (report.fromJournal + report.retries + report.poisoned > 0) {
-        std::cerr << "campaign: " << report.summary() << '\n';
-    }
     obs::finalize();
     return 0;
 }

@@ -12,7 +12,6 @@
 #include <iostream>
 #include <vector>
 
-#include "core/campaign/campaign.hh"
 #include "core/obs/obs.hh"
 #include "core/parallel.hh"
 #include "core/swcc.hh"
@@ -31,10 +30,6 @@ main(int argc, char **argv)
                                   Scheme::NoCache};
     constexpr CpuId kMaxCpus = 4;
 
-    // Journaled + resumable when SWCC_JOURNAL_DIR is set.
-    const campaign::CampaignOptions campaign_options =
-        campaign::envCampaignOptions("x2");
-
     for (AppProfile profile :
          {AppProfile::PopsLike, AppProfile::PeroLike}) {
         // Each scheme's 1..kMaxCpus cells fan across the pool inside
@@ -49,7 +44,7 @@ main(int argc, char **argv)
             config.instructionsPerCpu = 120'000;
             config.seed = 77;
             const std::vector<ValidationPoint> scheme_points =
-                validate(config, campaign_options);
+                validate(config);
             points.insert(points.end(), scheme_points.begin(),
                           scheme_points.end());
         }

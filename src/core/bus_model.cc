@@ -5,7 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "core/campaign/faults.hh"
 #include "core/obs/metrics.hh"
 #include "core/simd.hh"
 #include "core/simd_kernels.hh"
@@ -78,12 +77,10 @@ solveBus(const PerInstructionCost &cost, unsigned processors)
 #if SWCC_OBS_ENABLED
     noteBusSolve(processors);
 #endif
-    // Campaign resilience: the retry/poison machinery treats a
-    // non-finite recursion (or an injected failure) as a retryable
-    // solver fault rather than silently emitting garbage.
-    campaign::checkFault(campaign::FaultSite::SolverBus);
+    // A non-finite recursion is an error, never a silently emitted
+    // garbage solution.
     if (!std::isfinite(response) || !std::isfinite(queue)) {
-        throw campaign::SolverNonConvergence(
+        throw std::runtime_error(
             "bus MVA recursion produced a non-finite solution");
     }
 
@@ -151,12 +148,11 @@ solveBusCurve(const PerInstructionCost &cost, unsigned max_processors)
 #if SWCC_OBS_ENABLED
     noteBusSolve(max_processors);
 #endif
-    // One fault site and finiteness check per curve: an injected or
-    // real failure degrades the whole (retryable) cell, exactly as a
-    // failed per-point solve would.
-    campaign::checkFault(campaign::FaultSite::SolverBus);
+    // One finiteness check per curve: a failure anywhere in the
+    // recursion fails the whole curve, exactly as a failed per-point
+    // solve would.
     if (!std::isfinite(response) || !std::isfinite(queue)) {
-        throw campaign::SolverNonConvergence(
+        throw std::runtime_error(
             "bus MVA recursion produced a non-finite solution");
     }
 
@@ -259,9 +255,8 @@ solveBusGeneralService(const PerInstructionCost &cost,
 #if SWCC_OBS_ENABLED
     noteBusSolve(processors);
 #endif
-    campaign::checkFault(campaign::FaultSite::SolverBus);
     if (!std::isfinite(response) || !std::isfinite(queue)) {
-        throw campaign::SolverNonConvergence(
+        throw std::runtime_error(
             "bus approximate MVA produced a non-finite solution");
     }
 

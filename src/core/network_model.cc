@@ -7,7 +7,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "core/campaign/faults.hh"
 #include "core/obs/metrics.hh"
 #include "core/simd.hh"
 #include "core/simd_kernels.hh"
@@ -329,9 +328,8 @@ solveComputeFractionK(double rate, double size, unsigned stages,
 #else
     (void)iterations;
 #endif
-    campaign::checkFault(campaign::FaultSite::SolverNet);
     if (!(hi - lo < 1e-6)) {
-        throw campaign::SolverNonConvergence(
+        throw std::runtime_error(
             "network fixed point failed to bracket U");
     }
     return 0.5 * (lo + hi);
@@ -417,9 +415,8 @@ solveComputeFraction(double rate, double size, unsigned stages)
 #else
     (void)iterations;
 #endif
-    campaign::checkFault(campaign::FaultSite::SolverNet);
     if (!(hi - lo < 1e-6)) {
-        throw campaign::SolverNonConvergence(
+        throw std::runtime_error(
             "network fixed point failed to bracket U");
     }
     return 0.5 * (lo + hi);
@@ -557,16 +554,14 @@ solveComputeFractionBatch(const double *rates, const double *sizes,
         refill();
     }
 
-    // Ordered epilogue: observability, fault injection, and the
-    // convergence check fire in index order exactly as the per-point
-    // solver sequence would.
+    // Ordered epilogue: observability and the convergence check fire
+    // in index order exactly as the per-point solver sequence would.
     for (std::size_t j = 0; j < count; ++j) {
 #if SWCC_OBS_ENABLED
         noteNetworkSolve(iters_all[j], hi_all[j] - lo_all[j]);
 #endif
-        campaign::checkFault(campaign::FaultSite::SolverNet);
         if (!(hi_all[j] - lo_all[j] < 1e-6)) {
-            throw campaign::SolverNonConvergence(
+            throw std::runtime_error(
                 "network fixed point failed to bracket U");
         }
         out[j] = 0.5 * (lo_all[j] + hi_all[j]);

@@ -5,7 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/campaign/atomic_file.hh"
+#include "core/atomic_file.hh"
 #include "core/obs/json.hh"
 #include "core/obs/prometheus.hh"
 
@@ -308,7 +308,7 @@ writeMetricsCsv(std::ostream &os)
 std::string
 writeMetricsFile(const std::string &path)
 {
-    campaign::atomicWriteFile(path, [&](std::ostream &os) {
+    atomicWriteFile(path, [&](std::ostream &os) {
         if (path.ends_with(".csv")) {
             writeMetricsCsv(os);
         } else if (path.ends_with(".prom")) {

@@ -6,7 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/campaign/atomic_file.hh"
+#include "core/atomic_file.hh"
 #include "core/obs/json.hh"
 #include "core/obs/log.hh"
 
@@ -390,7 +390,7 @@ writeChromeTraceFile(const std::string &path)
                       std::to_string(dropped) +
                       " oldest records; timeline is truncated");
     }
-    campaign::atomicWriteFile(
+    atomicWriteFile(
         path, [&](std::ostream &os) { tracer().writeChromeTrace(os); });
     return path;
 }

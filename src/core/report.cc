@@ -7,7 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/campaign/atomic_file.hh"
+#include "core/atomic_file.hh"
 
 namespace swcc
 {
@@ -114,7 +114,7 @@ exportCsv(const TextTable &table, const std::string &name,
     const std::string path = directory + "/" + name + ".csv";
     // Atomic: an interrupted bench must not leave a truncated CSV
     // that parses as a complete (but short) result set.
-    campaign::atomicWriteFile(
+    atomicWriteFile(
         path, [&](std::ostream &os) { table.printCsv(os); });
     return path;
 }
@@ -156,7 +156,7 @@ AsciiChart::print(std::ostream &os) const
     for (const Series &series : series_) {
         for (const SeriesPoint &p : series.points) {
             if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
-                continue; // Poisoned campaign cells plot as gaps.
+                continue; // Non-finite points plot as gaps.
             }
             if (first) {
                 x_lo = x_hi = p.x;

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <stdexcept>
 
-#include "core/campaign/faults.hh"
 #include "core/obs/trace.hh"
 #include "core/per_instruction.hh"
 #include "core/solver_cache.hh"
@@ -59,17 +58,6 @@ networkCurveMemo()
     return true;
 }();
 
-/**
- * True when results may be served from / stored into the memo. Fault
- * injection must reach the solvers' checkFault() sites, so an armed
- * fault plan bypasses the cache entirely.
- */
-bool
-memoUsable()
-{
-    return solverCacheEnabled() && !campaign::faultsActive();
-}
-
 SolverCacheKey
 busPointKey(Scheme scheme, const WorkloadParams &params,
             unsigned processors, const BusCostModel &costs)
@@ -109,7 +97,7 @@ BusSolution
 evaluateBus(Scheme scheme, const WorkloadParams &params,
             unsigned processors, const BusCostModel &costs)
 {
-    const bool memo = memoUsable();
+    const bool memo = solverCacheEnabled();
     BusSolution sol;
     SolverCacheKey key;
     if (memo) {
@@ -136,7 +124,7 @@ evaluateNetwork(Scheme scheme, const WorkloadParams &params,
             "snoopy schemes need a broadcast bus; they cannot run on a "
             "multistage network");
     }
-    const bool memo = memoUsable();
+    const bool memo = solverCacheEnabled();
     NetworkSolution sol;
     SolverCacheKey key;
     if (memo) {
@@ -167,7 +155,7 @@ std::vector<BusSolution>
 evaluateBusCurve(Scheme scheme, const WorkloadParams &params,
                  unsigned max_processors, const BusCostModel &costs)
 {
-    const bool memo = memoUsable();
+    const bool memo = solverCacheEnabled();
     std::vector<BusSolution> curve;
     SolverCacheKey key;
     if (memo) {
@@ -208,7 +196,7 @@ evaluateNetworkCurve(Scheme scheme, const WorkloadParams &params,
             "snoopy schemes need a broadcast bus; they cannot run on a "
             "multistage network");
     }
-    const bool memo = memoUsable();
+    const bool memo = solverCacheEnabled();
     std::vector<NetworkSolution> curve;
     SolverCacheKey key;
     if (memo) {

@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 
-#include "core/campaign/cell_hash.hh"
 #include "core/obs/progress.hh"
 #include "core/parallel.hh"
 #include "core/scheme_evaluator.hh"
@@ -101,14 +100,6 @@ parameterSensitivity(Scheme scheme, ParamId param,
 std::vector<SensitivityEntry>
 sensitivityTable(const SensitivityConfig &config)
 {
-    return sensitivityTable(config, campaign::CampaignOptions{});
-}
-
-std::vector<SensitivityEntry>
-sensitivityTable(const SensitivityConfig &config,
-                 const campaign::CampaignOptions &options,
-                 campaign::CampaignReport *report)
-{
     // Table 8 column order: the paper's four schemes only — the
     // extension family is not part of the Table 8 reproduction.
     constexpr std::array<Scheme, kNumPaperSchemes> column_order = {
@@ -120,48 +111,15 @@ sensitivityTable(const SensitivityConfig &config,
     // grid in grid mode — is an independent evaluation; run the cells
     // across the pool, each writing its own pre-assigned slot so the
     // table is bit-identical to the serial loop.
-    struct Cell
-    {
-        ParamId param;
-        Scheme scheme;
-    };
-    std::vector<Cell> cells;
-    cells.reserve(kNumParams * column_order.size());
-    for (ParamId param : kAllParams) {
-        for (Scheme scheme : column_order) {
-            cells.push_back({param, scheme});
-        }
-    }
-    obs::ProgressReporter progress("sensitivity", cells.size());
-    const auto results = campaign::runCells(
-        cells.size(), 3,
-        [&](std::size_t i) {
-            return campaign::CellKey("sensitivity")
-                .add(paramName(cells[i].param))
-                .add(schemeName(cells[i].scheme))
-                .add(static_cast<std::uint64_t>(config.processors))
-                .add(static_cast<std::uint64_t>(
-                    config.averageOverGrid ? 1 : 0))
-                .hash();
-        },
-        [&](std::size_t i) {
-            const SensitivityEntry entry = parameterSensitivity(
-                cells[i].scheme, cells[i].param, config);
-            progress.tick();
-            return std::vector<double>{
-                entry.timeLow, entry.timeHigh, entry.percentChange};
-        },
-        options, report);
-
-    std::vector<SensitivityEntry> table(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        table[i].param = cells[i].param;
-        table[i].scheme = cells[i].scheme;
-        table[i].timeLow = results[i][0];
-        table[i].timeHigh = results[i][1];
-        table[i].percentChange = results[i][2];
-    }
-    return table;
+    const std::size_t n = kNumParams * column_order.size();
+    obs::ProgressReporter progress("sensitivity", n);
+    return parallelMap(n, [&](std::size_t i) {
+        const SensitivityEntry entry = parameterSensitivity(
+            column_order[i % column_order.size()],
+            kAllParams[i / column_order.size()], config);
+        progress.tick();
+        return entry;
+    });
 }
 
 std::vector<SensitivityEntry>

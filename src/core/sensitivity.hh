@@ -9,7 +9,6 @@
 
 #include <vector>
 
-#include "core/campaign/campaign.hh"
 #include "core/types.hh"
 #include "core/workload.hh"
 
@@ -69,16 +68,6 @@ SensitivityEntry parameterSensitivity(Scheme scheme, ParamId param,
  */
 std::vector<SensitivityEntry>
 sensitivityTable(const SensitivityConfig &config);
-
-/**
- * Table 8 as a resumable campaign: one journaled cell per
- * (parameter, scheme) pair. Poisoned cells surface as NaN times.
- * The parameterless overload delegates here with journaling disabled.
- */
-std::vector<SensitivityEntry>
-sensitivityTable(const SensitivityConfig &config,
-                 const campaign::CampaignOptions &options,
-                 campaign::CampaignReport *report = nullptr);
 
 /**
  * Parameters of @p table sorted by decreasing |percentChange| for one

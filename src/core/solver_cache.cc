@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "core/campaign/cell_hash.hh"
 #include "core/cost_model.hh"
 #include "core/obs/metrics.hh"
 #include "core/obs/obs.hh"
@@ -27,9 +26,24 @@ constexpr std::uint64_t kSeedHi = 0x84222325cbf29ce4ull;
 /** Field separator byte outside any hashed payload's alphabet. */
 constexpr unsigned char kSeparator = 0xff;
 
+constexpr std::uint64_t kFnvPrime = 0x00000100000001b3ull;
+
+/** FNV-1a 64 of a byte range, continuing from @p seed. */
+std::uint64_t
+fnv1a64(const void *data, std::size_t size, std::uint64_t seed)
+{
+    const auto *bytes = static_cast<const unsigned char *>(data);
+    std::uint64_t hash = seed;
+    for (std::size_t i = 0; i < size; ++i) {
+        hash ^= bytes[i];
+        hash *= kFnvPrime;
+    }
+    return hash;
+}
+
 /**
  * Canonical IEEE-754 bits of a double: -0.0 folds to 0.0 and every
- * NaN to one quiet pattern, matching cell_hash's convention.
+ * NaN to one quiet pattern.
  */
 std::uint64_t
 canonicalBits(double value)
@@ -155,8 +169,8 @@ SolverKeyBuilder::add(const CostModel &costs)
 void
 SolverKeyBuilder::mixBytes(const void *data, std::size_t size)
 {
-    lo_ = campaign::fnv1a64(data, size, lo_);
-    hi_ = campaign::fnv1a64(data, size, hi_);
+    lo_ = fnv1a64(data, size, lo_);
+    hi_ = fnv1a64(data, size, hi_);
 }
 
 void

@@ -2,10 +2,10 @@
  * @file
  * Thread-safe memo cache for analytical solver results.
  *
- * Campaigns re-solve the same operating points constantly: the Table 8
- * companion grids revisit each base point per varied parameter, power
- * curves share their workload point across processor counts, and
- * resumed or repeated sweeps recompute identical cells. The memo cache
+ * Experiments re-solve the same operating points constantly: the
+ * Table 8 companion grids revisit each base point per varied
+ * parameter, power curves share their workload point across processor
+ * counts, and repeated sweeps recompute identical cells. The memo cache
  * keys a solution by the *complete* canonical description of what the
  * solver computes — domain, scheme, every workload parameter, machine
  * size, and the full cost table — and returns the stored value on a
@@ -15,12 +15,12 @@
  * Keys are 128-bit: two FNV-1a 64 hashes of the same canonical byte
  * stream under different seeds. A collision would need both hashes to
  * collide simultaneously, pushing accidental aliasing past any
- * campaign size this library will see. Doubles are canonicalised
- * (-0.0 -> 0.0, any NaN -> one bit pattern) exactly like cell_hash.
+ * experiment size this library will see. Doubles are canonicalised
+ * (-0.0 -> 0.0, any NaN -> one bit pattern).
  *
  * The cache is sharded (16 shards, one mutex each) so concurrent pool
  * lanes hit different locks; each shard is bounded and self-clears on
- * overflow rather than evicting (campaign working sets either fit or
+ * overflow rather than evicting (experiment working sets either fit or
  * churn — LRU bookkeeping would cost more than the rare refill).
  *
  * Gate: SWCC_SOLVER_CACHE=off|0|false disables it process-wide;
@@ -64,8 +64,8 @@ struct SolverCacheKeyHash
 };
 
 /**
- * Builder for a solver cache key (mirrors campaign::CellKey, but
- * accumulates two hash states). Fields are framed with separators so
+ * Builder for a solver cache key: two FNV-1a 64 hash states fed the
+ * same canonical byte stream. Fields are framed with separators so
  * adjacent fields cannot alias.
  */
 class SolverKeyBuilder

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/campaign/cell_hash.hh"
 #include "core/parallel.hh"
 #include "core/scheme_evaluator.hh"
 
@@ -16,7 +15,7 @@ Series::maxY() const
 {
     // Seed from the first finite point — an all-negative series (e.g.
     // a delta/error series) must not report a phantom maximum of 0,
-    // and a poisoned (NaN) cell must not poison the whole extremum.
+    // and a NaN point must not poison the whole extremum.
     // Empty (or all-NaN) mirrors finalY's convention of returning 0.
     bool seeded = false;
     double best = 0.0;
@@ -127,53 +126,24 @@ std::vector<SweepRow>
 sweepPowerGrid(ParamId param, bool sweep_apl,
                const std::vector<double> &values,
                const WorkloadParams &base, unsigned processors,
-               const std::vector<Scheme> &schemes,
-               const campaign::CampaignOptions &options,
-               campaign::CampaignReport *report)
+               const std::vector<Scheme> &schemes)
 {
-    auto row_params = [&](std::size_t i) {
+    return parallelMap(values.size(), [&](std::size_t i) {
         WorkloadParams params = base;
         if (sweep_apl) {
             params.apl = values[i];
         } else {
             setParam(params, param, values[i]);
         }
-        return params;
-    };
-
-    // The cell identity is the fully substituted workload point plus
-    // the machine size and scheme list — everything the row computes,
-    // nothing about when or where it ran.
-    const auto results = campaign::runCells(
-        values.size(), schemes.size(),
-        [&](std::size_t i) {
-            campaign::CellKey key("sweep");
-            key.add(row_params(i))
-                .add(static_cast<std::uint64_t>(processors));
-            for (Scheme scheme : schemes) {
-                key.add(schemeName(scheme));
-            }
-            return key.hash();
-        },
-        [&](std::size_t i) {
-            const WorkloadParams params = row_params(i);
-            std::vector<double> row;
-            row.reserve(schemes.size());
-            for (Scheme scheme : schemes) {
-                row.push_back(
-                    evaluateBus(scheme, params, processors)
-                        .processingPower);
-            }
-            return row;
-        },
-        options, report);
-
-    std::vector<SweepRow> rows(values.size());
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        rows[i].value = values[i];
-        rows[i].power = results[i];
-    }
-    return rows;
+        SweepRow row;
+        row.value = values[i];
+        row.power.reserve(schemes.size());
+        for (Scheme scheme : schemes) {
+            row.power.push_back(
+                evaluateBus(scheme, params, processors).processingPower);
+        }
+        return row;
+    });
 }
 
 Series

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "core/campaign/campaign.hh"
 #include "core/types.hh"
 #include "core/workload.hh"
 
@@ -80,7 +79,7 @@ Series networkPowerSeries(Scheme scheme, const WorkloadParams &params,
 Series networkUtilizationSeries(unsigned stages, double message_words,
                                 const std::vector<double> &rates);
 
-/** One row of a campaign sweep grid: x plus one power per scheme. */
+/** One row of a sweep grid: x plus one power per scheme. */
 struct SweepRow
 {
     double value = 0.0;
@@ -89,8 +88,8 @@ struct SweepRow
 };
 
 /**
- * The `swcc sweep` grid as a resumable campaign: one journaled cell
- * per swept value, each evaluating every scheme in @p schemes.
+ * The `swcc sweep` grid: one cell per swept value, each evaluating
+ * every scheme in @p schemes, run across the pool.
  *
  * @param param     Parameter to sweep (ignored when @p sweep_apl).
  * @param sweep_apl Sweep apl directly instead of a Table 2 parameter.
@@ -98,16 +97,14 @@ struct SweepRow
  * @param base      Remaining workload parameters.
  * @param processors Bus system size.
  * @param schemes   Schemes evaluated per cell (row width).
- * @param options   Journal / resume / retry policy (campaign.hh).
- * @param report    Campaign accounting when non-null.
+ * @throws whatever a cell throws (e.g. std::invalid_argument for an
+ *         out-of-range parameter value).
  */
 std::vector<SweepRow>
 sweepPowerGrid(ParamId param, bool sweep_apl,
                const std::vector<double> &values,
                const WorkloadParams &base, unsigned processors,
-               const std::vector<Scheme> &schemes,
-               const campaign::CampaignOptions &options,
-               campaign::CampaignReport *report = nullptr);
+               const std::vector<Scheme> &schemes);
 
 } // namespace swcc
 

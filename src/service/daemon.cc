@@ -19,7 +19,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "core/campaign/atomic_file.hh"
+#include "core/atomic_file.hh"
 #include "core/obs/json.hh"
 #include "core/obs/log.hh"
 #include "core/obs/metrics.hh"
@@ -1113,7 +1113,7 @@ ServiceDaemon::Impl::dumpFlight() const
         ? config.socketPath + ".flight.json"
         : config.flightRecorderPath;
     const std::string json = flight.toJson();
-    campaign::atomicWriteFile(
+    atomicWriteFile(
         path, [&](std::ostream &os) { os << json; });
     return path;
 }

@@ -4,11 +4,11 @@
  *
  * The daemon's submission path: connection threads (producers) push
  * decoded queries, batching workers (consumers) pop them in groups.
- * Same discipline as the journal's CommitQueue — each slot carries a
- * sequence counter that tells producers and consumers whose turn the
- * slot is, so an enqueue or dequeue is one CAS on the head/tail plus
- * two relaxed/acquire-release accesses on the slot, with no mutex on
- * the hot path. Capacity must be a power of two.
+ * Each slot carries a sequence counter that tells producers and
+ * consumers whose turn the slot is, so an enqueue or dequeue is one
+ * CAS on the head/tail plus two relaxed/acquire-release accesses on
+ * the slot, with no mutex on the hot path. Capacity must be a power
+ * of two.
  */
 
 #ifndef SWCC_SERVICE_MPMC_QUEUE_HH

@@ -1,6 +1,5 @@
 #include "sim/mp/validation.hh"
 
-#include "core/campaign/cell_hash.hh"
 #include "core/obs/progress.hh"
 #include "core/parallel.hh"
 #include "core/scheme_evaluator.hh"
@@ -27,12 +26,11 @@ validatePoint(const ValidationConfig &config, CpuId cpus)
     SyntheticWorkloadConfig workload = profileConfig(
         config.profile, cpus, config.instructionsPerCpu,
         config.seed + cpus, software_trace);
-    // Lane-resident arena: batched campaign cells run many validation
-    // points per pool lane, and the multi-megabyte trace buffer is the
-    // dominant allocation. clear() resets length and cpu count but
-    // keeps capacity, so every cell after the first on a lane
-    // generates into already-warm memory. Contents are identical to a
-    // fresh generateTrace() call.
+    // Lane-resident arena: a pool lane runs many validation cells, and
+    // the multi-megabyte trace buffer is the dominant allocation.
+    // clear() resets length and cpu count but keeps capacity, so every
+    // cell after the first on a lane generates into already-warm
+    // memory. Contents are identical to a fresh generateTrace() call.
     thread_local TraceBuffer trace;
     generateTrace(workload, trace);
     const SharedClassifier shared = workload.sharedClassifier();
@@ -61,68 +59,17 @@ validatePoint(const ValidationConfig &config, CpuId cpus)
 std::vector<ValidationPoint>
 validate(const ValidationConfig &config)
 {
-    return validate(config, campaign::CampaignOptions{});
-}
-
-std::vector<ValidationPoint>
-validate(const ValidationConfig &config,
-         const campaign::CampaignOptions &options,
-         campaign::CampaignReport *report)
-{
     // One simulator instance per processor count, run concurrently.
     // Each cell seeds its own trace generator from the cell index
     // (seed + cpus), so the numbers are independent of evaluation
     // order and bit-identical to the serial loop.
-    const std::size_t n = config.maxCpus;
-    obs::ProgressReporter progress("validate", n);
-
-    // Freshly evaluated cells keep their full model/sim detail; cells
-    // satisfied from the journal fall back to the powers alone.
-    // Index-addressed slots, so concurrent cells never contend.
-    std::vector<ValidationPoint> details(n);
-    std::vector<char> have_detail(n, 0);
-
-    const auto results = campaign::runCells(
-        n, 2,
-        [&](std::size_t i) {
-            return campaign::CellKey("validate")
-                .add(profileName(config.profile))
-                .add(schemeName(config.scheme))
-                .add(static_cast<std::uint64_t>(config.cacheBytes))
-                .add(static_cast<std::uint64_t>(
-                    config.instructionsPerCpu))
-                .add(config.seed)
-                .add(static_cast<std::uint64_t>(i + 1))
-                .hash();
-        },
-        [&](std::size_t i) {
-            const ValidationPoint point =
-                validatePoint(config, static_cast<CpuId>(i + 1));
-            details[i] = point;
-            have_detail[i] = 1;
-            progress.tick();
-            return std::vector<double>{point.simPower,
-                                       point.modelPower};
-        },
-        options, report);
-
-    std::vector<ValidationPoint> points(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        if (have_detail[i]) {
-            points[i] = details[i];
-        } else {
-            points[i].profile = config.profile;
-            points[i].scheme = config.scheme;
-            points[i].cpus = static_cast<CpuId>(i + 1);
-            points[i].cacheBytes = config.cacheBytes;
-        }
-        // Journal values are bit-exact round-trips, so taking them for
-        // fresh cells too keeps resumed and uninterrupted runs
-        // byte-identical downstream.
-        points[i].simPower = results[i][0];
-        points[i].modelPower = results[i][1];
-    }
-    return points;
+    obs::ProgressReporter progress("validate", config.maxCpus);
+    return parallelMap(config.maxCpus, [&](std::size_t i) {
+        ValidationPoint point =
+            validatePoint(config, static_cast<CpuId>(i + 1));
+        progress.tick();
+        return point;
+    });
 }
 
 } // namespace swcc

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/bus_model.hh"
-#include "core/campaign/campaign.hh"
 #include "core/types.hh"
 #include "sim/cache/cache_config.hh"
 #include "sim/mp/sim_stats.hh"
@@ -70,21 +69,11 @@ ValidationPoint validatePoint(const ValidationConfig &config, CpuId cpus);
  * extracted parameters — exactly the paper's validation flow. Software
  * schemes are validated with flush-bearing traces (an extension the
  * paper's hardware-coherent traces ruled out).
+ *
+ * @throws whatever a cell throws (e.g. std::invalid_argument for a
+ *         cache size that is not a power of two).
  */
 std::vector<ValidationPoint> validate(const ValidationConfig &config);
-
-/**
- * validate() as a resumable campaign: one journaled cell per
- * processor count. Cells satisfied from the journal (and poisoned
- * cells, which surface as NaN powers) carry only simPower and
- * modelPower — the detailed model / sim sub-structures are populated
- * only for cells evaluated in this run. The parameterless overload
- * delegates here with journaling disabled.
- */
-std::vector<ValidationPoint>
-validate(const ValidationConfig &config,
-         const campaign::CampaignOptions &options,
-         campaign::CampaignReport *report = nullptr);
 
 } // namespace swcc
 

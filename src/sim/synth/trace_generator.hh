@@ -59,7 +59,7 @@ class TraceGenerator
     /**
      * Generates into @p trace, reusing its allocated capacity. The
      * buffer is cleared first; the result is identical to generate().
-     * Lets batched campaign cells keep one arena per pool lane instead
+     * Lets validation cells keep one arena per pool lane instead
      * of allocating a fresh multi-megabyte buffer per cell.
      */
     void generateInto(TraceBuffer &trace);

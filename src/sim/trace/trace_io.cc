@@ -10,8 +10,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/campaign/atomic_file.hh"
-#include "core/campaign/faults.hh"
+#include "core/atomic_file.hh"
 #include "core/obs/log.hh"
 
 namespace swcc
@@ -236,10 +235,10 @@ void
 saveTrace(const TraceBuffer &trace, const std::string &path)
 {
     // Atomic (temp + fsync + rename): a run killed mid-save can never
-    // leave a truncated trace that a later campaign mistakes for a
-    // complete one.
+    // leave a truncated trace that a later run mistakes for a complete
+    // one.
     const bool binary = path.ends_with(".swcc");
-    campaign::atomicWriteFile(
+    atomicWriteFile(
         path,
         [&](std::ostream &os) {
             if (binary) {
@@ -254,7 +253,6 @@ saveTrace(const TraceBuffer &trace, const std::string &path)
 TraceBuffer
 loadTrace(const std::string &path)
 {
-    campaign::checkFault(campaign::FaultSite::TraceIo);
     const bool binary = path.ends_with(".swcc");
     std::ifstream is(path, binary ? std::ios::binary : std::ios::in);
     if (!is) {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "core/bus_model.hh"
@@ -223,6 +225,32 @@ TEST(BusModelTest, ReportsItsInputs)
     EXPECT_DOUBLE_EQ(sol.cpu, 2.5);
     EXPECT_DOUBLE_EQ(sol.bus, 0.75);
     EXPECT_DOUBLE_EQ(sol.cyclesPerInstruction(), 2.5 + sol.waiting);
+}
+
+TEST(BusModelTest, NonFiniteDemandIsAnErrorNotAGarbageSolution)
+{
+    // A NaN or infinite demand passes the ordering checks but breaks
+    // the MVA recursion; the solver must throw rather than return a
+    // NaN processing power.
+    const double nan = std::nan("");
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(solveBus(cost(2.0, nan), 4), std::runtime_error);
+    EXPECT_THROW(solveBus(cost(inf, inf), 4), std::runtime_error);
+}
+
+TEST(BusModelTest, NonFiniteDemandFailsTheWholeCurve)
+{
+    const double nan = std::nan("");
+    EXPECT_THROW(solveBusCurve(cost(2.0, nan), 8), std::runtime_error);
+    // The same curve with a finite demand solves.
+    EXPECT_EQ(solveBusCurve(cost(2.0, 0.5), 8).size(), 8u);
+}
+
+TEST(GeneralServiceTest, NonFiniteDemandIsAnError)
+{
+    const double nan = std::nan("");
+    EXPECT_THROW(solveBusGeneralService(cost(2.0, nan), 4, 0.5),
+                 std::runtime_error);
 }
 
 } // namespace

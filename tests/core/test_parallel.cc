@@ -188,6 +188,76 @@ TEST(ParallelMapTest, SlotsMatchIndices)
     }
 }
 
+TEST(ParallelMapTest, EmptyRangeGivesAnEmptyVector)
+{
+    ThreadCountGuard guard(4);
+    int calls = 0;
+    const std::vector<int> none =
+        parallelMap(0, [&](std::size_t) { return ++calls; });
+    EXPECT_TRUE(none.empty());
+    EXPECT_EQ(calls, 0);
+}
+
+TEST(ParallelMapTest, EveryIndexRunsExactlyOnce)
+{
+    // Chunking and stealing must neither drop nor repeat a cell: each
+    // experiment cell is evaluated once per call.
+    ThreadCountGuard guard(4);
+    constexpr std::size_t kCells = 4099;
+    std::vector<std::atomic<int>> runs(kCells);
+    const std::vector<std::size_t> out = parallelMap(
+        kCells, [&](std::size_t i) {
+            runs[i].fetch_add(1, std::memory_order_relaxed);
+            return i;
+        });
+    ASSERT_EQ(out.size(), kCells);
+    for (std::size_t i = 0; i < kCells; ++i) {
+        ASSERT_EQ(runs[i].load(), 1) << "cell " << i;
+        ASSERT_EQ(out[i], i);
+    }
+}
+
+TEST(ParallelMapTest, ACellExceptionReachesTheCallerWithItsType)
+{
+    // A failing cell is an error of the whole map, rethrown with its
+    // original type and message, at any lane count.
+    for (unsigned threads : {1u, 4u}) {
+        ThreadCountGuard guard(threads);
+        try {
+            parallelMap(16, [](std::size_t i) -> double {
+                if (i == 9) {
+                    throw std::invalid_argument("cell 9 is out of range");
+                }
+                return static_cast<double>(i);
+            });
+            ADD_FAILURE() << "no exception at " << threads << " threads";
+        } catch (const std::invalid_argument &error) {
+            EXPECT_STREQ(error.what(), "cell 9 is out of range");
+        }
+        const std::vector<std::size_t> after =
+            parallelMap(8, [](std::size_t i) { return i + 1; });
+        EXPECT_EQ(after.back(), 8u) << threads << " threads";
+    }
+}
+
+TEST(ParallelMapGridTest, SlotsAreRowMajorAtAnyThreadCount)
+{
+    for (unsigned threads : {1u, 4u}) {
+        ThreadCountGuard guard(threads);
+        const std::vector<std::size_t> grid = parallelMapGrid(
+            7, 5, [](std::size_t row, std::size_t col) {
+                return row * 100 + col;
+            });
+        ASSERT_EQ(grid.size(), 35u);
+        for (std::size_t row = 0; row < 7; ++row) {
+            for (std::size_t col = 0; col < 5; ++col) {
+                ASSERT_EQ(grid[row * 5 + col], row * 100 + col)
+                    << threads << " threads";
+            }
+        }
+    }
+}
+
 TEST(ParallelConfigTest, OverrideBeatsDefaults)
 {
     EXPECT_GE(hardwareThreads(), 1u);

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
+#include "core/parallel.hh"
 #include "core/sensitivity.hh"
 
 namespace swcc
@@ -183,6 +186,43 @@ TEST(SensitivityRankingTest, RankedListIsSortedByMagnitude)
         EXPECT_GE(std::abs(ranked[i - 1].percentChange),
                   std::abs(ranked[i].percentChange));
     }
+}
+
+TEST_F(SensitivityTableTest, CellsMatchParameterSensitivityBitwise)
+{
+    // Every slot of the table is exactly the standalone evaluation of
+    // its (parameter, scheme) cell, in Table 2 then Table 8 order.
+    const SensitivityConfig config;
+    const std::vector<Scheme> columns = {
+        Scheme::SoftwareFlush, Scheme::NoCache, Scheme::Dragon,
+        Scheme::Base};
+    ASSERT_EQ(table_->size(), kNumParams * columns.size());
+    for (std::size_t i = 0; i < table_->size(); ++i) {
+        const Scheme scheme = columns[i % columns.size()];
+        const ParamId param = kAllParams[i / columns.size()];
+        const SensitivityEntry &entry = (*table_)[i];
+        EXPECT_EQ(entry.scheme, scheme) << i;
+        EXPECT_EQ(entry.param, param) << i;
+        const SensitivityEntry alone =
+            parameterSensitivity(scheme, param, config);
+        EXPECT_EQ(entry.timeLow, alone.timeLow) << i;
+        EXPECT_EQ(entry.timeHigh, alone.timeHigh) << i;
+        EXPECT_EQ(entry.percentChange, alone.percentChange) << i;
+    }
+}
+
+TEST(SensitivityErrorTest, AFailingCellPropagatesItsError)
+{
+    // A zero-processor machine cannot be solved: every cell throws,
+    // and the table must rethrow instead of holding NaN entries.
+    SensitivityConfig config;
+    config.processors = 0;
+    for (unsigned threads : {1u, 4u}) {
+        setThreadCount(threads);
+        EXPECT_THROW(sensitivityTable(config), std::invalid_argument)
+            << threads << " threads";
+    }
+    setThreadCount(0);
 }
 
 } // namespace

@@ -4,17 +4,19 @@
  * cold-vs-warm bitwise identity, curve-vs-per-point bitwise identity,
  * race-free concurrent insertion (the suite name starts with
  * "Parallel" so the tsan preset picks it up), the disable gate, and
- * the fault-injection bypass.
+ * the canonical key builder every memo is addressed by.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <thread>
 #include <vector>
 
 #include "core/bus_model.hh"
-#include "core/campaign/faults.hh"
+#include "core/cost_model.hh"
 #include "core/network_model.hh"
 #include "core/per_instruction.hh"
 #include "core/scheme_evaluator.hh"
@@ -72,7 +74,6 @@ class ParallelSolverCacheTest : public ::testing::Test
     void
     SetUp() override
     {
-        campaign::clearFaults();
         setSolverCacheEnabled(true);
         clearSolverCache();
     }
@@ -80,7 +81,6 @@ class ParallelSolverCacheTest : public ::testing::Test
     void
     TearDown() override
     {
-        campaign::clearFaults();
         clearSolverCache();
         setSolverCacheEnabled(true);
     }
@@ -226,18 +226,6 @@ TEST_F(ParallelSolverCacheTest, ShardOverflowCountsEvictions)
     EXPECT_EQ(solverCacheStats().evictions, after.evictions);
 }
 
-TEST_F(ParallelSolverCacheTest, ArmedFaultInjectionBypassesTheMemo)
-{
-    const WorkloadParams params = middleParams();
-    // Warm the exact point the fault should hit...
-    evaluateBus(Scheme::Base, params, 8);
-    // ...then arm a first-solve fault. A memo hit would swallow it.
-    campaign::configureFaults("solver-bus:1", 1);
-    EXPECT_THROW(evaluateBus(Scheme::Base, params, 8),
-                 campaign::SolverNonConvergence);
-    campaign::clearFaults();
-}
-
 TEST_F(ParallelSolverCacheTest, ConcurrentMixedLookupsAreRaceFree)
 {
     // Raw std::threads hammer overlapping operating points through
@@ -276,6 +264,98 @@ TEST_F(ParallelSolverCacheTest, ConcurrentMixedLookupsAreRaceFree)
             expectIdentical(got[t][i], serial[i]);
         }
     }
+}
+
+// --- Key builder: the canonical identity of a solve. ---
+
+TEST(SolverKeyBuilderTest, SameFieldsSameKey)
+{
+    const SolverCacheKey a = SolverKeyBuilder("bus")
+        .add("shd").add(0.25).add(std::uint64_t{16}).key();
+    const SolverCacheKey b = SolverKeyBuilder("bus")
+        .add("shd").add(0.25).add(std::uint64_t{16}).key();
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(SolverCacheKeyHash{}(a), SolverCacheKeyHash{}(b));
+}
+
+TEST(SolverKeyBuilderTest, FieldOrderAndValuesMatter)
+{
+    const SolverCacheKey base =
+        SolverKeyBuilder("bus").add("shd").add(0.25).key();
+    EXPECT_NE(base, SolverKeyBuilder("bus").add(0.25).add("shd").key());
+    EXPECT_NE(base, SolverKeyBuilder("bus").add("shd").add(0.26).key());
+    EXPECT_NE(base,
+              SolverKeyBuilder("network").add("shd").add(0.25).key());
+    // Field framing: ("ab", "c") must not collide with ("a", "bc").
+    EXPECT_NE(SolverKeyBuilder("d").add("ab").add("c").key(),
+              SolverKeyBuilder("d").add("a").add("bc").key());
+}
+
+TEST(SolverKeyBuilderTest, FieldTypesAreTagged)
+{
+    // The same bytes under a different field type are a different
+    // key: a processor count of 0 is not a parameter value of 0.0,
+    // and neither is an empty string.
+    const SolverCacheKey as_uint =
+        SolverKeyBuilder("k").add(std::uint64_t{0}).key();
+    const SolverCacheKey as_double = SolverKeyBuilder("k").add(0.0).key();
+    const SolverCacheKey as_string = SolverKeyBuilder("k").add("").key();
+    EXPECT_NE(as_uint, as_double);
+    EXPECT_NE(as_uint, as_string);
+    EXPECT_NE(as_double, as_string);
+    // The two halves are independent hash states, not copies.
+    EXPECT_NE(as_uint.lo, as_uint.hi);
+}
+
+TEST(SolverKeyBuilderTest, DoublesAreCanonicalised)
+{
+    // -0.0 and +0.0 compare equal, so they must key equal; any NaN
+    // collapses to one canonical bit pattern.
+    EXPECT_EQ(SolverKeyBuilder("k").add(-0.0).key(),
+              SolverKeyBuilder("k").add(0.0).key());
+    const double nan1 = std::numeric_limits<double>::quiet_NaN();
+    const double nan2 = std::nan("0x5");
+    EXPECT_EQ(SolverKeyBuilder("k").add(nan1).key(),
+              SolverKeyBuilder("k").add(nan2).key());
+    EXPECT_NE(SolverKeyBuilder("k").add(nan1).key(),
+              SolverKeyBuilder("k").add(0.0).key());
+}
+
+TEST(SolverKeyBuilderTest, EveryWorkloadParamChangesTheKey)
+{
+    const WorkloadParams base = middleParams();
+    const SolverCacheKey base_key = SolverKeyBuilder("k").add(base).key();
+    EXPECT_EQ(base_key, SolverKeyBuilder("k").add(middleParams()).key());
+    for (ParamId id : kAllParams) {
+        WorkloadParams moved = base;
+        setParam(moved, id, paramLevelValue(id, Level::High));
+        ASSERT_NE(getParam(moved, id), getParam(base, id))
+            << paramName(id);
+        EXPECT_NE(SolverKeyBuilder("k").add(moved).key(), base_key)
+            << paramName(id);
+    }
+}
+
+TEST(SolverKeyBuilderTest, CostTablesKeyByTheirValues)
+{
+    // Two separately built tables with equal costs key identically;
+    // re-costing one operation, or a different medium, changes the key.
+    const BusCostModel a;
+    const BusCostModel b;
+    EXPECT_EQ(SolverKeyBuilder("k").add(a).key(),
+              SolverKeyBuilder("k").add(b).key());
+
+    BusCostModel recosted;
+    OpCost cost = recosted.cost(Operation::CleanMissMem);
+    cost.cpu += 1.0;
+    recosted.setCost(Operation::CleanMissMem, cost);
+    EXPECT_NE(SolverKeyBuilder("k").add(recosted).key(),
+              SolverKeyBuilder("k").add(a).key());
+
+    EXPECT_NE(SolverKeyBuilder("k").add(NetworkCostModel(4)).key(),
+              SolverKeyBuilder("k").add(a).key());
+    EXPECT_NE(SolverKeyBuilder("k").add(NetworkCostModel(4)).key(),
+              SolverKeyBuilder("k").add(NetworkCostModel(5)).key());
 }
 
 } // namespace

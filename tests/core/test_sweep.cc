@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <stdexcept>
+
+#include "core/parallel.hh"
+#include "core/scheme_evaluator.hh"
 #include "core/sweep.hh"
 
 namespace swcc
@@ -122,6 +127,107 @@ TEST(NetworkUtilizationSeriesTest, SkipsNonPositiveRates)
     const Series series =
         networkUtilizationSeries(4, 4.0, {0.0, 0.01});
     EXPECT_EQ(series.points.size(), 1u);
+}
+
+/** Bitwise double equality (EXPECT_EQ would let -0.0 match 0.0). */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/** Forces a lane count for one scope, restoring the default after. */
+struct ThreadCountGuard
+{
+    explicit ThreadCountGuard(unsigned threads) { setThreadCount(threads); }
+    ~ThreadCountGuard() { setThreadCount(0); }
+};
+
+std::vector<SweepRow>
+sweepAtThreads(unsigned threads, const std::vector<double> &values,
+               const std::vector<Scheme> &schemes)
+{
+    ThreadCountGuard guard(threads);
+    return sweepPowerGrid(ParamId::Shd, false, values, middleParams(), 16,
+                          schemes);
+}
+
+TEST(SweepPowerGridTest, RowsMatchEvaluateBusBitwiseAtAnyThreadCount)
+{
+    const std::vector<Scheme> schemes(kAllSchemes.begin(),
+                                      kAllSchemes.end());
+    const std::vector<double> values = linspace(0.0, 0.5, 9);
+    const std::vector<SweepRow> serial =
+        sweepAtThreads(1, values, schemes);
+    const std::vector<SweepRow> parallel =
+        sweepAtThreads(4, values, schemes);
+
+    ASSERT_EQ(serial.size(), values.size());
+    ASSERT_EQ(parallel.size(), values.size());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        WorkloadParams params = middleParams();
+        setParam(params, ParamId::Shd, values[i]);
+        EXPECT_TRUE(sameBits(serial[i].value, values[i]));
+        EXPECT_TRUE(sameBits(parallel[i].value, values[i]));
+        ASSERT_EQ(serial[i].power.size(), schemes.size());
+        ASSERT_EQ(parallel[i].power.size(), schemes.size());
+        for (std::size_t s = 0; s < schemes.size(); ++s) {
+            const double expected =
+                evaluateBus(schemes[s], params, 16).processingPower;
+            EXPECT_TRUE(sameBits(serial[i].power[s], expected))
+                << "row " << i << ' ' << schemeName(schemes[s]);
+            EXPECT_TRUE(sameBits(parallel[i].power[s], expected))
+                << "row " << i << ' ' << schemeName(schemes[s]);
+        }
+    }
+}
+
+TEST(SweepPowerGridTest, AFailingCellPropagatesItsError)
+{
+    // shd = 1.5 is not a probability: that cell's solve throws, and
+    // the sweep must rethrow it rather than emit a NaN row.
+    const std::vector<Scheme> schemes = {Scheme::Base, Scheme::Dragon};
+    for (unsigned threads : {1u, 4u}) {
+        EXPECT_THROW(sweepAtThreads(threads, {0.1, 0.3, 1.5, 0.4},
+                                    schemes),
+                     std::invalid_argument)
+            << threads << " threads";
+    }
+    // An apl below 1 is rejected the same way on the apl axis.
+    EXPECT_THROW(sweepPowerGrid(ParamId::InvApl, true, {2.0, 0.5},
+                                middleParams(), 16, schemes),
+                 std::invalid_argument);
+}
+
+TEST(SweepPowerGridTest, NoValuesGiveNoRows)
+{
+    EXPECT_TRUE(sweepPowerGrid(ParamId::Shd, false, {}, middleParams(), 16,
+                               {Scheme::Base})
+                    .empty());
+}
+
+TEST(SweepPowerGridTest, AplAxisSetsAplDirectly)
+{
+    // On the apl axis the swept value is apl itself (not 1/apl), and
+    // the Table 2 parameter argument is ignored.
+    const std::vector<Scheme> schemes = {Scheme::SoftwareFlush};
+    const std::vector<double> values = {1.0, 4.0, 64.0};
+    const std::vector<SweepRow> rows = sweepPowerGrid(
+        ParamId::Shd, true, values, middleParams(), 16, schemes);
+    ASSERT_EQ(rows.size(), values.size());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        WorkloadParams params = middleParams();
+        params.apl = values[i];
+        EXPECT_TRUE(sameBits(rows[i].value, values[i]));
+        ASSERT_EQ(rows[i].power.size(), 1u);
+        EXPECT_TRUE(sameBits(
+            rows[i].power[0],
+            evaluateBus(Scheme::SoftwareFlush, params, 16)
+                .processingPower))
+            << "apl " << values[i];
+    }
+    // Software-Flush gains from longer flush intervals.
+    EXPECT_LT(rows.front().power[0], rows.back().power[0]);
 }
 
 } // namespace

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "sim/trace/trace_buffer.hh"
 #include "sim/trace/trace_io.hh"
@@ -129,6 +132,20 @@ TEST(TraceIoTest, MissingFileThrows)
 {
     EXPECT_THROW(loadTrace("/nonexistent/path/trace.swcc"),
                  std::runtime_error);
+}
+
+TEST(TraceIoTest, FailedSaveThrowsAndLeavesNoFile)
+{
+    // The "directory" is a regular file, so the save cannot succeed;
+    // it must report that instead of silently dropping the trace.
+    const std::string blocker = ::testing::TempDir() + "/trace_blocker";
+    saveTrace(sampleTrace(), blocker);
+    const std::string path = blocker + "/trace.swcc";
+    EXPECT_THROW(saveTrace(sampleTrace(), path), std::runtime_error);
+    EXPECT_THROW(loadTrace(path), std::runtime_error);
+    // The blocker itself is still the complete earlier save.
+    EXPECT_EQ(loadTrace(blocker).size(), sampleTrace().size());
+    std::remove(blocker.c_str());
 }
 
 TEST(RefTypeTest, Helpers)

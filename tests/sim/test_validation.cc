@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-
+#include <stdexcept>
 #include <tuple>
+#include <vector>
 
+#include "core/parallel.hh"
 #include "sim/mp/validation.hh"
 
 namespace swcc
@@ -122,6 +124,47 @@ TEST(ValidationPointTest, ErrorPercentIsSigned)
     EXPECT_NEAR(point.errorPercent(), 10.0, 1e-12);
     point.simPower = 0.0;
     EXPECT_DOUBLE_EQ(point.errorPercent(), 0.0);
+}
+
+TEST(ValidationErrorTest, AFailingCellPropagatesItsError)
+{
+    // A 1000-byte cache is not a power of two: every cell's cache
+    // construction throws, and validate() must rethrow instead of
+    // returning NaN points.
+    ValidationConfig config = baseConfig(Scheme::Dragon);
+    config.cacheBytes = 1000;
+    config.maxCpus = 2;
+    config.instructionsPerCpu = 2'000;
+    for (unsigned threads : {1u, 4u}) {
+        setThreadCount(threads);
+        EXPECT_THROW(validate(config), std::invalid_argument)
+            << threads << " threads";
+    }
+    setThreadCount(0);
+}
+
+TEST(ValidationCellTest, EveryCellEqualsItsStandaloneValidatePoint)
+{
+    // Cells are seeded by their processor count, so validate()'s slot
+    // for n CPUs is exactly validatePoint(config, n) run on its own,
+    // whatever else runs beside it.
+    ValidationConfig config = baseConfig(Scheme::SoftwareFlush);
+    config.maxCpus = 3;
+    config.instructionsPerCpu = 20'000;
+    setThreadCount(4);
+    const std::vector<ValidationPoint> points = validate(config);
+    setThreadCount(0);
+    ASSERT_EQ(points.size(), 3u);
+    for (CpuId cpus = 1; cpus <= 3; ++cpus) {
+        const ValidationPoint alone = validatePoint(config, cpus);
+        const ValidationPoint &cell = points[cpus - 1];
+        EXPECT_EQ(cell.cpus, cpus);
+        EXPECT_EQ(cell.scheme, Scheme::SoftwareFlush);
+        EXPECT_EQ(cell.cacheBytes, config.cacheBytes);
+        EXPECT_EQ(cell.simPower, alone.simPower) << cpus;
+        EXPECT_EQ(cell.modelPower, alone.modelPower) << cpus;
+        EXPECT_EQ(cell.sim.serialize(), alone.sim.serialize()) << cpus;
+    }
 }
 
 } // namespace

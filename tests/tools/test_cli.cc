@@ -5,12 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "cli/commands.hh"
-#include "core/campaign/faults.hh"
 #include "core/parallel.hh"
 #include "core/workload.hh"
 #include "cli/options.hh"
@@ -303,92 +303,160 @@ readFile(const std::string &path)
     return os.str();
 }
 
-TEST(CliCampaignTest, ResumeNeedsJournal)
+TEST(CliTest, CsvOutWritesTheResultTable)
 {
+    const std::string csv = ::testing::TempDir() + "/cli_sweep.csv";
+    std::remove(csv.c_str());
     std::string output;
-    EXPECT_EQ(runCli({"sweep", "--param", "shd", "--resume"}, &output),
+    ASSERT_EQ(runCli({"sweep", "--param", "shd", "--points", "3",
+                      "--cpus", "8", "--csv-out", csv},
+                     &output),
+              0);
+    const std::string text = readFile(csv);
+    EXPECT_EQ(text.rfind("shd,Base,Dragon,", 0), 0u) << text;
+    // Header plus one line per swept value.
+    EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 4);
+    std::remove(csv.c_str());
+}
+
+TEST(CliTest, FailingCellIsAnErrorNotANanRow)
+{
+    // A 1000-byte cache is not a power of two, so every validation
+    // cell throws; the command must fail instead of printing NaNs.
+    std::string output;
+    EXPECT_EQ(runCli({"validate", "--cache", "1000", "--cpus", "2",
+                      "--instructions", "2000"},
+                     &output),
               2);
-    EXPECT_NE(output.find("--journal"), std::string::npos);
+    EXPECT_NE(output.find("error:"), std::string::npos) << output;
+    EXPECT_EQ(output.find("nan"), std::string::npos) << output;
 }
 
-TEST(CliCampaignTest, InterruptedSweepResumesByteIdentically)
+TEST(CliTest, CsvOutIsIdenticalAtOneAndFourThreads)
+{
+    // The written artifact, like stdout, does not depend on the lane
+    // count: cells land in index-addressed slots.
+    const std::string dir = ::testing::TempDir();
+    const std::string serial_csv = dir + "/cli_sweep_t1.csv";
+    const std::string parallel_csv = dir + "/cli_sweep_t4.csv";
+    std::string serial;
+    std::string parallel;
+    ASSERT_EQ(runCli({"sweep", "--param", "shd", "--points", "7",
+                      "--cpus", "8", "--threads", "1", "--csv-out",
+                      serial_csv},
+                     &serial),
+              0);
+    ASSERT_EQ(runCli({"sweep", "--param", "shd", "--points", "7",
+                      "--cpus", "8", "--threads", "4", "--csv-out",
+                      parallel_csv},
+                     &parallel),
+              0);
+    setThreadCount(0);
+    EXPECT_EQ(serial, parallel);
+    const std::string text = readFile(serial_csv);
+    EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 8);
+    EXPECT_EQ(text, readFile(parallel_csv));
+    std::remove(serial_csv.c_str());
+    std::remove(parallel_csv.c_str());
+}
+
+TEST(CliTest, ValidateAndSensitivityWriteCsvOut)
 {
     const std::string dir = ::testing::TempDir();
-    const std::string journal = dir + "/cli_sweep.journal";
-    const std::string fresh_csv = dir + "/cli_fresh.csv";
-    const std::string resumed_csv = dir + "/cli_resumed.csv";
-    std::remove(journal.c_str());
-    std::remove(fresh_csv.c_str());
-    std::remove(resumed_csv.c_str());
-
-    // Reference: one uninterrupted run.
+    const std::string validate_csv = dir + "/cli_validate.csv";
+    const std::string sensitivity_csv = dir + "/cli_sensitivity.csv";
     std::string output;
-    ASSERT_EQ(runCli({"sweep", "--param", "shd", "--points", "7",
-                      "--cpus", "8", "--csv-out", fresh_csv},
+    ASSERT_EQ(runCli({"validate", "--scheme", "base", "--cpus", "2",
+                      "--instructions", "5000", "--csv-out",
+                      validate_csv},
                      &output),
               0);
-
-    // The same sweep killed mid-campaign by an injected task kill:
-    // exit code 3, a journal with the completed cells, and no CSV.
-    const std::string partial_csv = dir + "/cli_partial.csv";
-    std::remove(partial_csv.c_str());
-    ASSERT_EQ(runCli({"sweep", "--param", "shd", "--points", "7",
-                      "--cpus", "8", "--journal", journal,
-                      "--csv-out", partial_csv, "--fault-inject",
-                      "task-kill:1@2"},
-                     &output),
+    const std::string validate_text = readFile(validate_csv);
+    EXPECT_EQ(validate_text.rfind("cpus,sim power,model power,error %", 0),
+              0u)
+        << validate_text;
+    EXPECT_EQ(std::count(validate_text.begin(), validate_text.end(), '\n'),
               3);
-    EXPECT_NE(output.find("--resume"), std::string::npos);
-    EXPECT_FALSE(std::ifstream(partial_csv).good())
-        << "an interrupted campaign must not leave a CSV artifact";
 
-    // Resume: recomputes only the missing cells; the CSV (and stdout
-    // table) must be byte-identical to the uninterrupted run.
-    campaign::clearFaults(); // The "new process" would start clean.
-    std::string fresh_stdout;
-    ASSERT_EQ(runCli({"sweep", "--param", "shd", "--points", "7",
-                      "--cpus", "8"},
-                     &fresh_stdout),
+    ASSERT_EQ(runCli({"sensitivity", "--cpus", "8", "--csv-out",
+                      sensitivity_csv},
+                     &output),
               0);
-    std::string resumed_stdout;
-    ASSERT_EQ(runCli({"sweep", "--param", "shd", "--points", "7",
-                      "--cpus", "8", "--journal", journal, "--resume",
-                      "--csv-out", resumed_csv},
-                     &resumed_stdout),
-              0);
-    EXPECT_EQ(resumed_stdout, fresh_stdout);
-    EXPECT_EQ(readFile(resumed_csv), readFile(fresh_csv));
-    EXPECT_FALSE(readFile(resumed_csv).empty());
-
-    std::remove(journal.c_str());
-    std::remove(fresh_csv.c_str());
-    std::remove(resumed_csv.c_str());
+    const std::string sensitivity_text = readFile(sensitivity_csv);
+    EXPECT_EQ(sensitivity_text.rfind(
+                  "parameter,Software-Flush,No-Cache,Dragon,Base", 0),
+              0u)
+        << sensitivity_text;
+    EXPECT_EQ(std::count(sensitivity_text.begin(), sensitivity_text.end(),
+                         '\n'),
+              static_cast<long>(kNumParams) + 1);
+    std::remove(validate_csv.c_str());
+    std::remove(sensitivity_csv.c_str());
 }
 
-TEST(CliCampaignTest, FaultySolverIsRetriedToSuccess)
+TEST(CliTest, UnwritableCsvOutIsAnError)
 {
-    campaign::clearFaults();
-    const std::string dir = ::testing::TempDir();
-    const std::string journal = dir + "/cli_retry.journal";
-    std::remove(journal.c_str());
-
-    std::string faulty;
-    ASSERT_EQ(runCli({"sweep", "--param", "shd", "--points", "5",
-                      "--cpus", "8", "--journal", journal,
-                      "--fault-inject", "solver-bus:2"},
-                     &faulty),
-              0);
-    campaign::clearFaults();
-    std::string clean;
-    ASSERT_EQ(runCli({"sweep", "--param", "shd", "--points", "5",
-                      "--cpus", "8"},
-                     &clean),
-              0);
-    // Two injected solver failures, both absorbed by retries: the
-    // output table is unaffected.
-    EXPECT_EQ(faulty, clean);
-    std::remove(journal.c_str());
+    // The table is still printed, but a requested artifact that could
+    // not be written fails the command.
+    const std::string blocker = ::testing::TempDir() + "/cli_blocker";
+    std::ofstream(blocker) << "not a directory\n";
+    std::string output;
+    EXPECT_EQ(runCli({"sweep", "--param", "shd", "--points", "3",
+                      "--cpus", "8", "--csv-out", blocker + "/out.csv"},
+                     &output),
+              2);
+    EXPECT_NE(output.find("error:"), std::string::npos) << output;
+    EXPECT_EQ(readFile(blocker), "not a directory\n");
+    std::remove(blocker.c_str());
 }
+
+TEST(CliTest, FailingSweepCellIsAnErrorNotANanRow)
+{
+    // shd = 1.5 is not a probability; the whole sweep fails.
+    std::string output;
+    EXPECT_EQ(runCli({"sweep", "--param", "shd", "--from", "0.1", "--to",
+                      "1.5", "--points", "3", "--cpus", "8"},
+                     &output),
+              2);
+    EXPECT_NE(output.find("error:"), std::string::npos) << output;
+    EXPECT_EQ(output.find("nan"), std::string::npos) << output;
+}
+
+TEST(CliTest, FailingSensitivityCellIsAnErrorNotANanRow)
+{
+    std::string output;
+    EXPECT_EQ(runCli({"sensitivity", "--cpus", "0"}, &output), 2);
+    EXPECT_NE(output.find("error:"), std::string::npos) << output;
+    EXPECT_EQ(output.find("nan"), std::string::npos) << output;
+}
+
+/** Campaign-engine flags that no longer exist; each is an error. */
+class RetiredFlagTest : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(RetiredFlagTest, IsRejectedAsUnknown)
+{
+    std::string output;
+    EXPECT_EQ(runCli({"sweep", "--param", "shd", "--points", "3",
+                      GetParam(), "1"},
+                     &output),
+              2);
+    EXPECT_NE(output.find("unknown option"), std::string::npos) << output;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CampaignFlags, RetiredFlagTest,
+    ::testing::Values("--journal", "--resume", "--task-retries",
+                      "--task-timeout-ms", "--backoff-ms",
+                      "--fault-inject", "--campaign-seed"),
+    [](const ::testing::TestParamInfo<const char *> &flag) {
+        // "--task-retries" -> "task_retries" (test names are C
+        // identifiers).
+        std::string name(flag.param + 2);
+        std::replace(name.begin(), name.end(), '-', '_');
+        return name;
+    });
 
 } // namespace
 } // namespace swcc::cli

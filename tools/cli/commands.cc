@@ -1,11 +1,9 @@
 #include "cli/commands.hh"
 
-#include <iostream>
 #include <ostream>
 #include <stdexcept>
 
-#include "core/campaign/atomic_file.hh"
-#include "core/campaign/campaign.hh"
+#include "core/atomic_file.hh"
 #include "core/obs/obs.hh"
 #include "core/parallel.hh"
 #include "core/swcc.hh"
@@ -138,61 +136,15 @@ withGlobals(std::vector<std::string> extra)
     return extra;
 }
 
-/** Extra options of the campaign commands (sweep/sensitivity/validate). */
-std::vector<std::string>
-withCampaign(std::vector<std::string> extra)
-{
-    static const std::vector<std::string> kCampaignOptions = {
-        "journal", "resume", "csv-out", "task-retries",
-        "task-timeout-ms", "backoff-ms", "fault-inject",
-        "campaign-seed",
-    };
-    extra.insert(extra.end(), kCampaignOptions.begin(),
-                 kCampaignOptions.end());
-    return extra;
-}
-
-/** Builds the campaign configuration from the command line. */
-campaign::CampaignOptions
-campaignFromOptions(const Options &options)
-{
-    campaign::CampaignOptions campaign;
-    campaign.journalPath = options.valueOr("journal", "");
-    campaign.resume = options.has("resume");
-    if (campaign.resume && campaign.journalPath.empty()) {
-        throw std::invalid_argument("--resume needs --journal FILE");
-    }
-    campaign.policy.maxRetries = options.unsignedOr(
-        "task-retries", campaign.policy.maxRetries);
-    campaign.policy.timeoutMs =
-        options.unsignedOr("task-timeout-ms", 0);
-    campaign.policy.backoffBaseMs = options.unsignedOr(
-        "backoff-ms",
-        static_cast<unsigned>(campaign.policy.backoffBaseMs));
-    campaign.seed = options.unsignedOr("campaign-seed", 1);
-    campaign.faultSpec = options.valueOr("fault-inject", "");
-    return campaign;
-}
-
-/**
- * Post-campaign bookkeeping shared by the campaign commands: the
- * optional CSV artifact (atomic, so an interrupted write never leaves
- * a plausible-looking truncated file) and the resilience summary. The
- * summary goes to stderr — stdout and the CSV must stay byte-identical
- * between a fresh run and a resumed one, and "N from journal" differs.
- */
+/** Writes @p table to the `--csv-out` path, when one was given. */
 void
-finishCampaign(const Options &options, const TextTable &table,
-               const campaign::CampaignOptions &campaign,
-               const campaign::CampaignReport &report)
+writeCsvOut(const Options &options, const TextTable &table)
 {
     if (const auto path = options.value("csv-out")) {
-        campaign::atomicWriteFile(
+        // Atomic: an interrupted write never leaves a plausible-looking
+        // truncated file.
+        atomicWriteFile(
             *path, [&](std::ostream &os) { table.printCsv(os); });
-    }
-    if (!campaign.journalPath.empty()) {
-        std::cerr << "campaign: " << report.summary()
-                  << " (journal: " << campaign.journalPath << ")\n";
     }
 }
 
@@ -244,27 +196,9 @@ printUsage(std::ostream &out)
         "  --log-level LEVEL  trace|debug|info|warn|error|off\n"
         "            (default: warn, or SWCC_LOG_LEVEL env var)\n"
         "\n"
-        "campaign options (sweep, sensitivity, validate):\n"
-        "  --journal FILE  append each completed cell to a checksummed\n"
-        "            journal; an interrupted run exits 3 and can be\n"
-        "            continued with --resume, producing byte-identical\n"
-        "            output\n"
-        "  --resume  load the journal first and recompute only the\n"
-        "            missing cells (requires --journal)\n"
+        "result options (sweep, sensitivity, validate):\n"
         "  --csv-out FILE  also write the result table as CSV\n"
-        "            (atomic: temp file + fsync + rename)\n"
-        "  --task-retries N  retries per failing cell before it is\n"
-        "            poisoned to NaNs (default 2)\n"
-        "  --task-timeout-ms N  per-cell time budget; overruns count\n"
-        "            as failures (default: unlimited)\n"
-        "  --backoff-ms N  base of the exponential retry backoff\n"
-        "            (default 1)\n"
-        "  --fault-inject SPEC  deterministic fault injection, e.g.\n"
-        "            'solver-bus:2' or 'trace-io:10%' (see also the\n"
-        "            SWCC_FAULT_INJECT env var); sites: trace-io,\n"
-        "            solver-bus, solver-net, task-kill, task-timeout\n"
-        "  --campaign-seed N  seed for probabilistic fault injection\n"
-        "            (default 1)\n";
+        "            (atomic: temp file + fsync + rename)\n";
 }
 
 int
@@ -417,9 +351,9 @@ cmdSim(const Options &options, std::ostream &out)
 int
 cmdValidate(const Options &options, std::ostream &out)
 {
-    options.requireKnown(withCampaign(withGlobals(
-        {"profile", "scheme", "cpus", "instructions", "cache",
-         "seed"})));
+    options.requireKnown(withGlobals(
+        {"profile", "scheme", "cpus", "instructions", "cache", "seed",
+         "csv-out"}));
     ValidationConfig config;
     config.profile =
         profileFromName(options.valueOr("profile", "pops-like"));
@@ -431,28 +365,23 @@ cmdValidate(const Options &options, std::ostream &out)
     config.cacheBytes = options.unsignedOr("cache", 64 * 1024);
     config.seed = options.unsignedOr("seed", 1);
 
-    const campaign::CampaignOptions campaign =
-        campaignFromOptions(options);
-    campaign::CampaignReport report;
-
     TextTable table({"cpus", "sim power", "model power", "error %"});
-    for (const ValidationPoint &point :
-         validate(config, campaign, &report)) {
+    for (const ValidationPoint &point : validate(config)) {
         table.addRow({formatNumber(point.cpus, 0),
                       formatNumber(point.simPower, 3),
                       formatNumber(point.modelPower, 3),
                       formatNumber(point.errorPercent(), 1)});
     }
     table.print(out);
-    finishCampaign(options, table, campaign, report);
+    writeCsvOut(options, table);
     return 0;
 }
 
 int
 cmdSweep(const Options &options, std::ostream &out)
 {
-    options.requireKnown(withWorkload(withCampaign(
-        withGlobals({"param", "from", "to", "points", "cpus"}))));
+    options.requireKnown(withWorkload(withGlobals(
+        {"param", "from", "to", "points", "cpus", "csv-out"})));
     const auto param_name = options.value("param");
     if (!param_name) {
         throw std::invalid_argument("sweep needs --param");
@@ -471,12 +400,9 @@ cmdSweep(const Options &options, std::ostream &out)
         Scheme::NoCache, Scheme::Mesi, Scheme::Mesif, Scheme::Moesi,
         Scheme::Hybrid,
     };
-    const campaign::CampaignOptions campaign =
-        campaignFromOptions(options);
-    campaign::CampaignReport report;
     const std::vector<SweepRow> rows =
         sweepPowerGrid(param, sweep_apl, linspace(from, to, points),
-                       base, cpus, schemes, campaign, &report);
+                       base, cpus, schemes);
 
     TextTable table({*param_name, "Base", "Dragon", "Software-Flush",
                      "No-Cache", "MESI", "MESIF", "MOESI",
@@ -489,7 +415,7 @@ cmdSweep(const Options &options, std::ostream &out)
         table.addRow(std::move(row));
     }
     table.print(out);
-    finishCampaign(options, table, campaign, report);
+    writeCsvOut(options, table);
     return 0;
 }
 
@@ -550,20 +476,15 @@ cmdNetwork(const Options &options, std::ostream &out)
 int
 cmdSensitivity(const Options &options, std::ostream &out)
 {
-    options.requireKnown(withCampaign(withGlobals({"cpus", "grid"})));
+    options.requireKnown(withGlobals({"cpus", "grid", "csv-out"}));
     SensitivityConfig config;
     config.processors = options.unsignedOr("cpus", 16);
     config.averageOverGrid = options.has("grid");
 
-    const campaign::CampaignOptions campaign =
-        campaignFromOptions(options);
-    campaign::CampaignReport campaign_report;
-
     out << "Sensitivity (% change in execution time, low -> high, "
         << config.processors << " CPUs"
         << (config.averageOverGrid ? ", grid-averaged" : "") << "):\n\n";
-    const auto table =
-        sensitivityTable(config, campaign, &campaign_report);
+    const auto table = sensitivityTable(config);
     TextTable report({"parameter", "Software-Flush", "No-Cache",
                       "Dragon", "Base"});
     for (ParamId param : kAllParams) {
@@ -580,7 +501,7 @@ cmdSensitivity(const Options &options, std::ostream &out)
         report.addRow(std::move(row));
     }
     report.print(out);
-    finishCampaign(options, report, campaign, campaign_report);
+    writeCsvOut(options, report);
     return 0;
 }
 
@@ -657,15 +578,6 @@ run(const std::vector<std::string> &args, std::ostream &out)
         const int rc = dispatch();
         obs::finalize();
         return rc;
-    } catch (const FatalTaskError &error) {
-        // The campaign journaled every completed cell before dying,
-        // so the run is resumable; still flush metrics (fault and
-        // retry counters) for post-mortems.
-        obs::finalize();
-        out << "fatal: " << error.what() << '\n'
-            << "completed cells are journaled; rerun the same command "
-               "with --resume to continue\n";
-        return 3;
     } catch (const std::exception &error) {
         out << "error: " << error.what() << '\n';
         return 2;
