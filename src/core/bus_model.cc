@@ -6,8 +6,6 @@
 #include <stdexcept>
 
 #include "core/obs/metrics.hh"
-#include "core/simd.hh"
-#include "core/simd_kernels.hh"
 
 namespace swcc
 {
@@ -129,21 +127,26 @@ solveBusCurve(const PerInstructionCost &cost, unsigned max_processors)
     }
 
     // One MVA recursion; each population k is a prefix of the same
-    // iteration solveBus() runs, so recording the state at every k
-    // reproduces the per-point solutions bit for bit.
-    std::vector<double> responses(n);
-    std::vector<double> throughputs(n);
-    std::vector<double> queues(n);
+    // iteration solveBus() runs, so deriving point k from the state
+    // at k with solveBus()'s arithmetic reproduces the per-point
+    // solutions bit for bit.
     double queue = 0.0;
     double response = 0.0;
-    double throughput = 0.0;
     for (std::size_t k = 1; k <= n; ++k) {
         response = service * (1.0 + queue);
-        throughput = static_cast<double>(k) / (think + response);
+        const double throughput =
+            static_cast<double>(k) / (think + response);
         queue = throughput * response;
-        responses[k - 1] = response;
-        throughputs[k - 1] = throughput;
-        queues[k - 1] = queue;
+        BusSolution &sol = curve[k - 1];
+        sol.processors = static_cast<unsigned>(k);
+        sol.cpu = cost.cpu;
+        sol.bus = cost.channel;
+        sol.waiting = response - service;
+        sol.busUtilization = throughput * service;
+        sol.busQueueLength = queue;
+        sol.processorUtilization = 1.0 / (cost.cpu + sol.waiting);
+        sol.processingPower =
+            static_cast<double>(k) * sol.processorUtilization;
     }
 #if SWCC_OBS_ENABLED
     noteBusSolve(max_processors);
@@ -154,52 +157,6 @@ solveBusCurve(const PerInstructionCost &cost, unsigned max_processors)
     if (!std::isfinite(response) || !std::isfinite(queue)) {
         throw std::runtime_error(
             "bus MVA recursion produced a non-finite solution");
-    }
-
-    // Derive pass: straight-line elementwise arithmetic over the
-    // contiguous recursion arrays, dispatched to the vector kernel
-    // when available (bitwise identical to the scalar loop).
-    if (simd::activeIsa() != simd::Isa::Scalar) {
-        // Chunked stack buffers keep the kernel's working set in L1
-        // and avoid heap traffic (four std::vectors measurably slow
-        // this pass down at typical curve sizes).
-        constexpr std::size_t kChunk = 64;
-        double waiting[kChunk];
-        double bus_util[kChunk];
-        double proc_util[kChunk];
-        double power[kChunk];
-        for (std::size_t base = 0; base < n; base += kChunk) {
-            const std::size_t len = std::min(kChunk, n - base);
-            simd::busDeriveVector(responses.data() + base,
-                                  throughputs.data() + base, service,
-                                  cost.cpu, base, len, waiting,
-                                  bus_util, proc_util, power);
-            for (std::size_t c = 0; c < len; ++c) {
-                const std::size_t i = base + c;
-                BusSolution &sol = curve[i];
-                sol.processors = static_cast<unsigned>(i) + 1;
-                sol.cpu = cost.cpu;
-                sol.bus = cost.channel;
-                sol.waiting = waiting[c];
-                sol.busUtilization = bus_util[c];
-                sol.busQueueLength = queues[i];
-                sol.processorUtilization = proc_util[c];
-                sol.processingPower = power[c];
-            }
-        }
-        return curve;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        BusSolution &sol = curve[i];
-        sol.processors = static_cast<unsigned>(i) + 1;
-        sol.cpu = cost.cpu;
-        sol.bus = cost.channel;
-        sol.waiting = responses[i] - service;
-        sol.busUtilization = throughputs[i] * service;
-        sol.busQueueLength = queues[i];
-        sol.processorUtilization = 1.0 / (cost.cpu + sol.waiting);
-        sol.processingPower =
-            static_cast<double>(i + 1) * sol.processorUtilization;
     }
     return curve;
 }

@@ -64,10 +64,10 @@ BusSolution solveBus(const PerInstructionCost &cost, unsigned processors);
  *
  * The exact MVA recursion over the customer population visits every
  * prefix population anyway — solving for n processors computes the
- * k-processor solution for all k < n along the way. This kernel
- * records each prefix, then derives the per-point outputs in a second
- * pass over contiguous arrays (autovectorizable), turning a curve of N
- * solves from O(N^2) recursion steps into O(N).
+ * k-processor solution for all k < n along the way. This solver
+ * derives each point's outputs as the recursion passes its
+ * population, turning a curve of N solves from O(N^2) recursion
+ * steps into O(N).
  *
  * Element i is bitwise identical to solveBus(cost, i + 1): the
  * recursion executes the same floating-point operations in the same

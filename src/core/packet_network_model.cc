@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "core/cost_model.hh"
+#include "core/network_model.hh"
 #include "core/per_instruction.hh"
 
 namespace swcc
@@ -73,9 +74,7 @@ solvePacketNetwork(Scheme scheme, const WorkloadParams &params,
         throw std::invalid_argument(
             "snoopy schemes cannot run on a multistage network");
     }
-    if (stages == 0) {
-        throw std::invalid_argument("need at least one network stage");
-    }
+    const unsigned processors = networkProcessors(stages);
 
     const FrequencyVector freqs = operationFrequencies(scheme, params);
 
@@ -106,7 +105,7 @@ solvePacketNetwork(Scheme scheme, const WorkloadParams &params,
 
     PacketNetworkSolution sol;
     sol.stages = stages;
-    sol.processors = 1u << stages;
+    sol.processors = processors;
     sol.cpuPerInstruction = cpu_local;
     sol.wordsPerInstruction = std::max(forward_words, return_words);
 

@@ -105,7 +105,8 @@ struct PacketNetworkSolution
  * @param params The workload.
  * @param stages Switch stages (2^stages processors).
  * @param traffic Word-count model (defaults above).
- * @throws std::invalid_argument for Scheme::Dragon or zero stages.
+ * @throws std::invalid_argument for Scheme::Dragon or a stage count
+ *         networkProcessors() rejects.
  */
 PacketNetworkSolution
 solvePacketNetwork(Scheme scheme, const WorkloadParams &params,

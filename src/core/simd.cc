@@ -1,29 +1,10 @@
 #include "core/simd.hh"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
 namespace swcc::simd
 {
 
 namespace
 {
-
-/// -1 = consult SWCC_SIMD + CPU detection, 0 = forced scalar,
-/// 1 = forced detection (ignore the env var).
-std::atomic<int> simd_override{-1};
-
-bool
-envDisablesSimd()
-{
-    const char *raw = std::getenv("SWCC_SIMD");
-    if (raw == nullptr)
-        return false;
-    return std::strcmp(raw, "off") == 0 || std::strcmp(raw, "OFF") == 0 ||
-           std::strcmp(raw, "0") == 0 || std::strcmp(raw, "false") == 0 ||
-           std::strcmp(raw, "no") == 0;
-}
 
 Isa
 detectIsa()
@@ -44,29 +25,8 @@ detectIsa()
 Isa
 activeIsa()
 {
-    const int mode = simd_override.load(std::memory_order_relaxed);
-    if (mode == 0)
-        return Isa::Scalar;
-    if (mode == -1 && envDisablesSimd())
-        return Isa::Scalar;
-    // Detection is cheap (one CPUID-backed builtin) but cache it anyway
-    // so the hot solver loop pays a single relaxed load.
     static const Isa detected = detectIsa();
     return detected;
-}
-
-unsigned
-laneWidth(Isa isa)
-{
-    switch (isa) {
-      case Isa::Avx2:
-        return 4;
-      case Isa::Neon:
-        return 2;
-      case Isa::Scalar:
-        break;
-    }
-    return 1;
 }
 
 const char *
@@ -81,12 +41,6 @@ isaName(Isa isa)
         break;
     }
     return "scalar";
-}
-
-void
-setSimdEnabled(bool enabled)
-{
-    simd_override.store(enabled ? 1 : 0, std::memory_order_relaxed);
 }
 
 } // namespace swcc::simd

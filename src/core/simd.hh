@@ -1,25 +1,10 @@
 /**
  * @file
- * Portable SIMD dispatch for the solver kernels.
+ * Host instruction-set probe.
  *
- * The batched bisection sweep and the bus-curve derive pass process
- * lane-width groups of doubles per iteration. This header owns the
- * policy side: which instruction set the kernels may use on this
- * machine, how wide a lane group is, and the escape hatches.
- *
- * Identity contract: every vector kernel is restricted to elementwise
- * IEEE-754 add/sub/mul/div/compare/blend, which are bit-identical to
- * the corresponding scalar operations, and the kernel translation
- * units are compiled with FMA contraction disabled. A SIMD solve is
- * therefore bitwise identical to the scalar solve — the dispatch
- * level may change performance, never results. Tests enforce this.
- *
- * Dispatch is resolved at runtime: AVX2 via CPUID on x86-64 (the
- * kernels live in a translation unit compiled with -mavx2 and are
- * only ever called after the check), NEON unconditionally on AArch64,
- * scalar everywhere else. `SWCC_SIMD=off` in the environment (or
- * setSimdEnabled(false) from tests/benchmarks) forces the scalar
- * fallback.
+ * Reports the widest vector ISA the CPU supports, so run provenance
+ * (the benchmark ledger's host line) can record the machine a
+ * measurement came from. Nothing in the model dispatches on it.
  */
 
 #ifndef SWCC_CORE_SIMD_HH
@@ -28,50 +13,22 @@
 namespace swcc::simd
 {
 
-/** Instruction set the solver kernels dispatch to. */
+/** Vector instruction set of the host CPU. */
 enum class Isa
 {
-    /** Plain scalar loops; always available, the identity reference. */
+    /** No vector ISA this probe knows of. */
     Scalar,
-    /** 2-wide double lanes (AArch64 NEON). */
+    /** AArch64 NEON. */
     Neon,
-    /** 4-wide double lanes (x86-64 AVX2). */
+    /** x86-64 AVX2. */
     Avx2,
 };
 
-/**
- * The instruction set in effect: the widest one the CPU supports,
- * unless the SWCC_SIMD=off escape hatch (or setSimdEnabled(false))
- * forces Scalar. Detection runs once; the result is cached.
- */
+/** The widest instruction set the CPU supports (detected once). */
 Isa activeIsa();
-
-/** Double lanes per vector op: 4 (AVX2), 2 (NEON), 1 (Scalar). */
-unsigned laneWidth(Isa isa);
-
-/** Lane width of the active instruction set. */
-inline unsigned
-laneWidth()
-{
-    return laneWidth(activeIsa());
-}
 
 /** Human-readable name ("avx2", "neon", "scalar"). */
 const char *isaName(Isa isa);
-
-/**
- * Overrides the SWCC_SIMD environment gate programmatically (tests
- * and the before/after benchmarks). Passing false forces the scalar
- * path; passing true re-runs CPU detection. Thread-safe.
- */
-void setSimdEnabled(bool enabled);
-
-/** True when vector kernels are eligible (CPU support and gates). */
-inline bool
-simdEnabled()
-{
-    return activeIsa() != Isa::Scalar;
-}
 
 } // namespace swcc::simd
 

@@ -11,14 +11,15 @@
  * The batch path is the daemon's amortization lever: evaluateBatch()
  * groups the in-flight queries that share (domain, scheme, workload)
  * and answers each group whose members ask for different machine
- * sizes with ONE evaluateBusCurve()/evaluateNetworkCurve() call — the
- * batched solver kernels (O(N) prefix MVA, SIMD bisection sweep)
- * compute every size of the group in one pass, so the marginal query
- * costs one extra lane instead of one extra solve. Curve element i is
- * bitwise identical to the single-point solve by the solver-layer
- * contract, so batching never changes a result; duplicate queries
- * within a group are answered from the same solve. All paths share
- * the process-wide solver memo cache across clients.
+ * sizes with ONE evaluateBusCurve()/evaluateNetworkCurve() call. A
+ * bus curve is one O(N) prefix MVA pass, so the marginal bus query
+ * costs one recursion step instead of one whole solve; a network
+ * curve is one point solve per stage count, and the group still
+ * shares one memo lookup and one curve insert. Curve element i is
+ * bitwise identical to the single-point solve, so batching never
+ * changes a result; duplicate queries within a group are answered
+ * from the same solve. All paths share the process-wide solver memo
+ * cache across clients.
  *
  * The kernel holds no mutable state (limits only), so one instance
  * serves any number of threads concurrently.

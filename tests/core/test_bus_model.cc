@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -244,6 +245,33 @@ TEST(BusModelTest, NonFiniteDemandFailsTheWholeCurve)
     EXPECT_THROW(solveBusCurve(cost(2.0, nan), 8), std::runtime_error);
     // The same curve with a finite demand solves.
     EXPECT_EQ(solveBusCurve(cost(2.0, 0.5), 8).size(), 8u);
+}
+
+TEST(BusCurveTest, MatchesThePointSolvesAtEveryLength)
+{
+    const auto same = [](double a, double b) {
+        return std::memcmp(&a, &b, sizeof a) == 0;
+    };
+    for (const PerInstructionCost &c : {cost(4.0, 0.75), cost(2.5, 0.02)}) {
+        for (unsigned max : {1u, 63u, 64u, 65u, 1024u}) {
+            const std::vector<BusSolution> curve = solveBusCurve(c, max);
+            ASSERT_EQ(curve.size(), max);
+            for (unsigned n = 1; n <= max; ++n) {
+                const BusSolution &got = curve[n - 1];
+                const BusSolution want = solveBus(c, n);
+                EXPECT_EQ(got.processors, want.processors);
+                EXPECT_TRUE(same(got.cpu, want.cpu));
+                EXPECT_TRUE(same(got.bus, want.bus));
+                EXPECT_TRUE(same(got.waiting, want.waiting)) << n;
+                EXPECT_TRUE(same(got.busUtilization, want.busUtilization));
+                EXPECT_TRUE(same(got.busQueueLength, want.busQueueLength));
+                EXPECT_TRUE(same(got.processorUtilization,
+                                 want.processorUtilization));
+                EXPECT_TRUE(
+                    same(got.processingPower, want.processingPower));
+            }
+        }
+    }
 }
 
 TEST(GeneralServiceTest, NonFiniteDemandIsAnError)

@@ -5,9 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/network_model.hh"
+#include "core/packet_network_model.hh"
+#include "core/scheme_evaluator.hh"
+#include "core/workload.hh"
 
 namespace swcc
 {
@@ -21,6 +30,48 @@ cost(double cpu, double net)
     c.cpu = cpu;
     c.channel = net;
     return c;
+}
+
+/** Bit-level equality: distinguishes -0.0/+0.0 and compares NaNs. */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+void
+expectSameSolution(const NetworkSolution &a, const NetworkSolution &b)
+{
+    EXPECT_EQ(a.stages, b.stages);
+    EXPECT_EQ(a.processors, b.processors);
+    EXPECT_TRUE(sameBits(a.cpu, b.cpu));
+    EXPECT_TRUE(sameBits(a.network, b.network));
+    EXPECT_TRUE(sameBits(a.transactionRate, b.transactionRate));
+    EXPECT_TRUE(sameBits(a.unitRequestRate, b.unitRequestRate));
+    EXPECT_TRUE(sameBits(a.computeFraction, b.computeFraction))
+        << a.computeFraction << " vs " << b.computeFraction;
+    EXPECT_TRUE(sameBits(a.inputLoad, b.inputLoad));
+    EXPECT_TRUE(sameBits(a.acceptance, b.acceptance));
+    EXPECT_TRUE(sameBits(a.cyclesPerInstruction, b.cyclesPerInstruction));
+    EXPECT_TRUE(sameBits(a.waiting, b.waiting));
+    EXPECT_TRUE(sameBits(a.processorUtilization, b.processorUtilization));
+    EXPECT_TRUE(sameBits(a.processingPower, b.processingPower));
+}
+
+/** Every curve point equals the point solve at its stage count. */
+void
+expectCurveMatchesPoints(const std::vector<PerInstructionCost> &costs,
+                         unsigned first_stage)
+{
+    const std::vector<NetworkSolution> curve =
+        solveNetworkCurve(costs, first_stage);
+    ASSERT_EQ(curve.size(), costs.size());
+    for (std::size_t i = 0; i < costs.size(); ++i) {
+        SCOPED_TRACE("point " + std::to_string(i));
+        expectSameSolution(
+            curve[i],
+            solveNetwork(costs[i], first_stage + static_cast<unsigned>(i)));
+    }
 }
 
 TEST(PatelRecursionTest, StageStepMatchesClosedForm)
@@ -222,6 +273,66 @@ TEST(StagesForProcessorsTest, CeilLog2WithMinimumOne)
     EXPECT_EQ(stagesForProcessors(5), 3u);
     EXPECT_EQ(stagesForProcessors(256), 8u);
     EXPECT_EQ(stagesForProcessors(257), 9u);
+}
+
+TEST(NetworkCurveTest, NanDemandMatchesThePointSolve)
+{
+    // A NaN CPU time passes the ordering checks (every comparison is
+    // false) and every residual comparison routes to the else-branch,
+    // so the bisection deterministically collapses to the low end.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    expectCurveMatchesPoints({cost(2.0, 0.4), cost(nan, 0.4),
+                              cost(3.0, 0.7), cost(nan, 1.5)},
+                             3);
+}
+
+TEST(NetworkCurveTest, DegenerateBracketsMatchThePointSolves)
+{
+    // Extreme demands drive the fixed point against the bracket ends:
+    // a tiny demand pushes U toward 1, a huge one toward 0.
+    std::vector<PerInstructionCost> costs;
+    for (double net : {1e-12, 1e-6, 0.5, 12.0, 1e9}) {
+        for (double think : {1e-3, 1.0, 1e6}) {
+            costs.push_back(cost(net + think, net));
+        }
+    }
+    expectCurveMatchesPoints(costs, 1);
+}
+
+TEST(NetworkCurveTest, InvalidCellThrows)
+{
+    std::vector<PerInstructionCost> costs(5, cost(2.0, 0.4));
+    costs[2] = cost(1.0, 1.0); // b == c
+    EXPECT_THROW(solveNetworkCurve(costs, 1), std::invalid_argument);
+    costs[2] = cost(2.0, -0.1);
+    EXPECT_THROW(solveNetworkCurve(costs, 1), std::invalid_argument);
+    costs[2] = cost(2.0, 0.4);
+    EXPECT_THROW(solveNetworkCurve(costs, 0), std::invalid_argument);
+    EXPECT_EQ(solveNetworkCurve(costs, 1).size(), 5u);
+}
+
+TEST(NetworkModelTest, StagesForProcessorsDoesNotWrapAboveTwoToThe31)
+{
+    // A 32-bit capacity doubles 2^31 to 0 and never reaches these.
+    EXPECT_EQ(stagesForProcessors(1u << 31), 31u);
+    EXPECT_EQ(stagesForProcessors(3000000000u), 32u);
+    EXPECT_EQ(stagesForProcessors(UINT_MAX), 32u);
+}
+
+TEST(NetworkModelTest, StageCountsAbove31AreRejected)
+{
+    // 2^stages processors must fit the unsigned processor count.
+    EXPECT_EQ(solveNetwork(cost(2.0, 0.4), 31).processors, 1u << 31);
+    EXPECT_THROW(solveNetwork(cost(2.0, 0.4), 32), std::invalid_argument);
+    EXPECT_THROW(solveNetwork(cost(2.0, 0.0), 40), std::invalid_argument);
+    EXPECT_THROW(solveNetworkCurve(std::vector<PerInstructionCost>(
+                                       2, cost(2.0, 0.4)),
+                                   31),
+                 std::invalid_argument);
+    EXPECT_THROW(evaluateNetworkCurve(Scheme::Base, middleParams(), 32),
+                 std::invalid_argument);
+    EXPECT_THROW(solvePacketNetwork(Scheme::Base, middleParams(), 32),
+                 std::invalid_argument);
 }
 
 } // namespace

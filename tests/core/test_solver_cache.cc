@@ -176,18 +176,18 @@ TEST_F(ParallelSolverCacheTest,
 TEST_F(ParallelSolverCacheTest,
        BatchedFixedPointMatchesScalarBitwise)
 {
-    const std::vector<double> rates = {0.01, 0.03, 0.08, 0.2};
-    const std::vector<double> sizes = {4.0, 12.0, 7.5, 2.0};
-    const std::vector<unsigned> stages = {2, 6, 9, 12};
-    std::vector<double> batched(rates.size());
-    solveComputeFractionBatch(rates.data(), sizes.data(),
-                              stages.data(), rates.size(),
-                              batched.data());
-    for (std::size_t i = 0; i < rates.size(); ++i) {
-        EXPECT_TRUE(sameBits(
-            batched[i],
-            solveComputeFraction(rates[i], sizes[i], stages[i])))
-            << "point " << i;
+    // Each curve point's U is the scalar fixed point of its own
+    // transaction rate, size and stage count.
+    setSolverCacheEnabled(false);
+    const auto curve =
+        evaluateNetworkCurve(Scheme::Base, paramsAtLevel(Level::High), 12);
+    setSolverCacheEnabled(true);
+    for (const NetworkSolution &point : curve) {
+        EXPECT_TRUE(sameBits(point.computeFraction,
+                             solveComputeFraction(point.transactionRate,
+                                                  point.network,
+                                                  point.stages)))
+            << "stages " << point.stages;
     }
 }
 

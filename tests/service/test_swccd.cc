@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -25,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "core/obs/obs.hh"
@@ -747,6 +749,25 @@ TEST_F(ServiceParallelTest, StopWhileClientsAreMidBurstIsClean)
         thread.join();
     }
     EXPECT_FALSE(daemon_->running());
+}
+
+/** Exit status of the swccd binary run with @p args, -1 if killed. */
+int
+swccdExitCode(const std::string &args)
+{
+    const std::string command =
+        std::string(SWCCD_BINARY) + " " + args + " >/dev/null 2>&1";
+    const int status = std::system(command.c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(SwccdFlagTest, MaxNetworkStagesAbove31IsRejectedAtStartup)
+{
+    // The socket's directory does not exist: a daemon that gets past
+    // flag parsing fails to bind (exit 1), a rejected flag exits 2.
+    const std::string socket = "--socket /nonexistent-swccd-dir/s.sock";
+    EXPECT_EQ(swccdExitCode(socket + " --max-network-stages 32"), 2);
+    EXPECT_EQ(swccdExitCode(socket + " --max-network-stages 31"), 1);
 }
 
 } // namespace

@@ -171,6 +171,26 @@ TEST(CliTest, EvalNetworkIncludesDirectoryExtension)
     EXPECT_EQ(output.find("Dragon"), std::string::npos);
 }
 
+TEST(CliTest, EvalNetworkBeyondTwoToThe31CpusIsAnError)
+{
+    // 3e9 CPUs need 32 stages, one more than a network may have.
+    std::string output;
+    EXPECT_EQ(runCli({"eval", "--network", "--cpus", "3000000000"},
+                     &output),
+              2);
+}
+
+TEST(CliTest, StageCountsAbove31AreRejected)
+{
+    std::string output;
+    EXPECT_EQ(runCli({"eval", "--stages", "40"}, &output), 2);
+    EXPECT_EQ(output.find("Multistage network"), std::string::npos);
+    EXPECT_EQ(runCli({"network", "--stages", "32"}, &output), 2);
+    EXPECT_EQ(output.find("Network disciplines"), std::string::npos);
+    ASSERT_EQ(runCli({"eval", "--stages", "31"}, &output), 0);
+    EXPECT_NE(output.find("2147483648 processors"), std::string::npos);
+}
+
 TEST(CliTest, EvalRejectsBadParameterValue)
 {
     std::string output;

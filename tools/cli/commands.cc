@@ -212,7 +212,8 @@ cmdEval(const Options &options, std::ostream &out)
     if (options.has("network") || options.has("stages")) {
         const unsigned stages =
             options.unsignedOr("stages", stagesForProcessors(cpus));
-        out << "Multistage network, " << (1u << stages)
+        const unsigned processors = networkProcessors(stages);
+        out << "Multistage network, " << processors
             << " processors:\n\n";
         TextTable table({"scheme", "compute U", "cycles/instr",
                          "power"});
@@ -430,7 +431,7 @@ cmdNetwork(const Options &options, std::ostream &out)
         throw std::invalid_argument("--switch must be >= 2");
     }
     const unsigned stages = options.unsignedOr("stages", 8);
-    const unsigned processors = 1u << stages;
+    const unsigned processors = networkProcessors(stages);
 
     out << "Network disciplines, " << processors
         << " processors (circuit: " << stages

@@ -24,6 +24,7 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include "core/network_model.hh"
 #include "core/obs/obs.hh"
 #include "core/solver_cache.hh"
 #include "service/daemon.hh"
@@ -72,7 +73,8 @@ usage(std::ostream &out, int code)
 }
 
 unsigned
-parseUnsigned(const std::string &flag, const std::string &value)
+parseUnsigned(const std::string &flag, const std::string &value,
+              unsigned long max = 1u << 20)
 {
     std::size_t end = 0;
     unsigned long parsed = 0;
@@ -81,9 +83,10 @@ parseUnsigned(const std::string &flag, const std::string &value)
     } catch (const std::exception &) {
         end = 0;
     }
-    if (end != value.size() || parsed == 0 || parsed > 1u << 20) {
-        throw std::invalid_argument(flag + " needs a positive count, "
-                                    "got '" + value + "'");
+    if (end != value.size() || parsed == 0 || parsed > max) {
+        throw std::invalid_argument(flag + " needs a count in 1.." +
+                                    std::to_string(max) + ", got '" +
+                                    value + "'");
     }
     return static_cast<unsigned>(parsed);
 }
@@ -127,8 +130,8 @@ main(int argc, char **argv)
                 config.limits.maxBusProcessors =
                     parseUnsigned(arg, value(arg));
             } else if (arg == "--max-network-stages") {
-                config.limits.maxNetworkStages =
-                    parseUnsigned(arg, value(arg));
+                config.limits.maxNetworkStages = parseUnsigned(
+                    arg, value(arg), swcc::kMaxNetworkStages);
             } else if (arg == "--slow-query-us") {
                 config.slowQueryUs = parseUnsigned(arg, value(arg));
             } else if (arg == "--flight-records") {
