@@ -11,7 +11,8 @@
  * versus all hardware threads, asserting the per-point statistics are
  * byte-identical across thread counts.
  *
- * The per-scheme table lands in bench_results/perf_simulator_speedup.csv.
+ * The per-scheme table of a full run lands in
+ * bench_results/perf_simulator_speedup.csv; --smoke writes no CSV.
  * Any statistics divergence makes the process exit non-zero, which is
  * how the `--smoke` ctest target (a scaled-down run of the same
  * checks) turns a snoop-path or determinism regression into a test
@@ -43,6 +44,7 @@ using namespace swcc;
 /** Scaled-down --smoke run for ctest; full run for reporting. */
 struct HarnessConfig
 {
+    bool smoke = false;
     std::size_t instructionsPerCpu = 40'000;
     CpuId cpus = 16;
     int reps = 3;
@@ -200,8 +202,10 @@ reportSnoopPathSpeedup(const HarnessConfig &config)
              identical ? "yes" : "NO"});
     }
     table.print(std::cout);
-    std::cout << '\n' << exportCsv(table, "perf_simulator_speedup")
-              << " written\n";
+    if (!config.smoke) {
+        std::cout << '\n' << exportCsv(table, "perf_simulator_speedup")
+                  << " written\n";
+    }
     return all_identical;
 }
 
@@ -323,6 +327,7 @@ main(int argc, char **argv)
     HarnessConfig config;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--smoke") == 0) {
+            config.smoke = true;
             config.instructionsPerCpu = 3'000;
             config.cpus = 8;
             config.reps = 1;

@@ -79,6 +79,21 @@ operationIndex(Operation op)
     return static_cast<std::size_t>(op);
 }
 
+/** True for the four cache-miss operations (memory- or cache-supplied). */
+constexpr bool
+isMissOp(Operation op)
+{
+    return op == Operation::CleanMissMem || op == Operation::DirtyMissMem ||
+        op == Operation::CleanMissCache || op == Operation::DirtyMissCache;
+}
+
+/** True for the misses that replaced a dirty block. */
+constexpr bool
+isDirtyMissOp(Operation op)
+{
+    return op == Operation::DirtyMissMem || op == Operation::DirtyMissCache;
+}
+
 } // namespace swcc
 
 #endif // SWCC_CORE_OPERATION_HH

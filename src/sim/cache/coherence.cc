@@ -23,19 +23,6 @@ noteSnoopPath(bool directory)
 }
 #endif
 
-bool
-isMissOp(Operation op)
-{
-    return op == Operation::CleanMissMem || op == Operation::DirtyMissMem ||
-        op == Operation::CleanMissCache || op == Operation::DirtyMissCache;
-}
-
-bool
-isDirtyMissOp(Operation op)
-{
-    return op == Operation::DirtyMissMem || op == Operation::DirtyMissCache;
-}
-
 } // namespace
 
 bool

@@ -2,66 +2,148 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_map>
+#include <stdexcept>
 #include <unordered_set>
 
 #include "core/obs/log.hh"
+#include "sim/cache/base_protocol.hh"
 #include "sim/mp/system.hh"
 
 namespace swcc
 {
 
+namespace
+{
+
+double
+ratio(std::uint64_t count, std::uint64_t total)
+{
+    return total > 0
+        ? static_cast<double>(count) / static_cast<double>(total)
+        : 0.0;
+}
+
+} // namespace
+
+double
+BaseCacheCounts::dataMissRate() const
+{
+    std::uint64_t refs = 0;
+    for (const CpuRefCounts &cpu : perCpu) {
+        refs += cpu.dataRefs;
+    }
+    return ratio(dataMisses, refs);
+}
+
+double
+BaseCacheCounts::instrMissRate() const
+{
+    std::uint64_t instrs = 0;
+    for (const CpuRefCounts &cpu : perCpu) {
+        instrs += cpu.instructions;
+    }
+    return ratio(instrMisses, instrs);
+}
+
+double
+BaseCacheCounts::dirtyMissFraction() const
+{
+    return ratio(dirtyMisses, instrMisses + dataMisses);
+}
+
+BaseCacheCounts
+replayBaseCaches(const TraceBuffer &trace, const CacheConfig &cache_config,
+                 CpuId cpus)
+{
+    if (trace.numCpus() > cpus) {
+        throw std::invalid_argument(
+            "trace uses more processors than the replay has");
+    }
+    BaseProtocol protocol(cache_config, cpus);
+    AccessResult result;
+    BaseCacheCounts counts;
+    counts.perCpu.resize(cpus);
+    for (const TraceEvent &event : trace) {
+        protocol.access(event.cpu, event.type, event.addr, result);
+
+        CpuRefCounts &cpu = counts.perCpu[event.cpu];
+        switch (event.type) {
+          case RefType::IFetch:
+            ++cpu.instructions;
+            break;
+          case RefType::Load:
+          case RefType::Store:
+            ++cpu.dataRefs;
+            break;
+          case RefType::Flush:
+            ++cpu.flushes;
+            break;
+        }
+
+        for (std::uint8_t i = 0; i < result.numOps; ++i) {
+            const Operation op = result.ops[i];
+            ++counts.opCounts[operationIndex(op)];
+            if (isMissOp(op)) {
+                if (event.type == RefType::IFetch) {
+                    ++counts.instrMisses;
+                } else {
+                    ++counts.dataMisses;
+                }
+                if (isDirtyMissOp(op)) {
+                    ++counts.dirtyMisses;
+                }
+            }
+        }
+    }
+    return counts;
+}
+
 ExtractedParams
 extractParams(const TraceBuffer &trace, const CacheConfig &cache_config,
               const SharedClassifier &shared)
 {
+    // Without a classifier, sharing is the dynamic interpretation
+    // (blocks touched by more than one processor): scan for that set
+    // once and classify against it in both the trace analysis and the
+    // Dragon run.
+    SharedClassifier measure = shared;
+    if (!measure) {
+        auto shared_blocks = std::make_shared<std::unordered_set<Addr>>(
+            dynamicSharedBlocks(trace, cache_config.blockBytes));
+        measure = [shared_blocks](Addr block) {
+            return shared_blocks->contains(block);
+        };
+    }
+
+    // Sharing interaction measurements from a Dragon run, whose system
+    // is gone before the other measurements allocate theirs.
+    DragonMeasurements dragon;
+    {
+        MultiprocessorSystem system(Scheme::Dragon, cache_config,
+                                    std::max<CpuId>(1, trace.numCpus()),
+                                    measure);
+        system.run(trace);
+        dragon = static_cast<const DragonProtocol &>(system.protocol())
+                     .measurements();
+    }
+    return extractParams(trace, cache_config, measure, dragon);
+}
+
+ExtractedParams
+extractParams(const TraceBuffer &trace, const CacheConfig &cache_config,
+              const SharedClassifier &shared,
+              const DragonMeasurements &dragon)
+{
     ExtractedParams out;
 
-    // Raw-trace measurements. When no classifier is supplied, build the
-    // dynamic one (blocks touched by more than one processor).
+    // Raw-trace measurements.
     out.traceStats = analyzeTrace(trace, cache_config.blockBytes, shared);
 
-    // Cache-dependent measurements from a Base-scheme run: miss rates
-    // and the dirty-victim fraction, uncontaminated by coherence
-    // actions.
-    const CpuId cpus = std::max<CpuId>(1, trace.numCpus());
-    {
-        MultiprocessorSystem base_system(Scheme::Base, cache_config, cpus);
-        out.baseStats = base_system.run(trace);
-    }
-
-    // Sharing interaction measurements from a Dragon run.
-    {
-        SharedClassifier measure = shared;
-        if (!measure) {
-            // Dynamic interpretation: precompute the multi-processor
-            // blocks, then classify against that set.
-            auto shared_blocks =
-                std::make_shared<std::unordered_set<Addr>>();
-            std::unordered_map<Addr, CpuId> first;
-            const Addr mask =
-                ~static_cast<Addr>(cache_config.blockBytes - 1);
-            for (const TraceEvent &event : trace) {
-                if (!isData(event.type)) {
-                    continue;
-                }
-                const Addr block = event.addr & mask;
-                auto [it, inserted] = first.emplace(block, event.cpu);
-                if (!inserted && it->second != event.cpu) {
-                    shared_blocks->insert(block);
-                }
-            }
-            measure = [shared_blocks](Addr block) {
-                return shared_blocks->contains(block);
-            };
-        }
-        MultiprocessorSystem dragon_system(Scheme::Dragon, cache_config,
-                                           cpus, measure);
-        dragon_system.run(trace);
-        const auto &dragon =
-            static_cast<const DragonProtocol &>(dragon_system.protocol());
-        out.dragonMeasurements = dragon.measurements();
-    }
+    // Miss rates and the dirty-victim fraction from Base caches,
+    // uncontaminated by coherence actions.
+    out.baseStats = replayBaseCaches(trace, cache_config,
+                                     std::max<CpuId>(1, trace.numCpus()));
+    out.dragonMeasurements = dragon;
 
     // Assemble the model input.
     WorkloadParams params = middleParams();

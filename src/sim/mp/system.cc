@@ -50,19 +50,6 @@ makeProtocol(Scheme scheme, const CacheConfig &cache_config,
     throw std::invalid_argument("unknown Scheme");
 }
 
-bool
-isMissOp(Operation op)
-{
-    return op == Operation::CleanMissMem || op == Operation::DirtyMissMem ||
-        op == Operation::CleanMissCache || op == Operation::DirtyMissCache;
-}
-
-bool
-isDirtyVictimOp(Operation op)
-{
-    return op == Operation::DirtyMissMem || op == Operation::DirtyMissCache;
-}
-
 } // namespace
 
 MultiprocessorSystem::MultiprocessorSystem(Scheme scheme,
@@ -134,7 +121,7 @@ MultiprocessorSystem::step(TraceProcessor &proc, SimStats &stats)
             } else {
                 ++stats.dataMisses;
             }
-            if (isDirtyVictimOp(op)) {
+            if (isDirtyMissOp(op)) {
                 ++stats.dirtyMisses;
             }
         }

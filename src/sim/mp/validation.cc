@@ -1,8 +1,11 @@
 #include "sim/mp/validation.hh"
 
+#include <optional>
+
 #include "core/obs/progress.hh"
 #include "core/parallel.hh"
 #include "core/scheme_evaluator.hh"
+#include "sim/cache/dragon_protocol.hh"
 #include "sim/mp/param_extractor.hh"
 #include "sim/mp/system.hh"
 #include "sim/synth/trace_generator.hh"
@@ -45,11 +48,24 @@ validatePoint(const ValidationConfig &config, CpuId cpus)
     point.cpus = cpus;
     point.cacheBytes = config.cacheBytes;
 
-    MultiprocessorSystem system(config.scheme, cache, cpus, shared);
-    point.sim = system.run(trace);
+    // A Dragon point's own run is the extraction's Dragon run: same
+    // trace, cache, processor count and classifier, so its sharing
+    // measurements are reused rather than simulated again. The system
+    // is gone before extraction allocates its own.
+    std::optional<DragonMeasurements> dragon;
+    {
+        MultiprocessorSystem system(config.scheme, cache, cpus, shared);
+        point.sim = system.run(trace);
+        if (config.scheme == Scheme::Dragon) {
+            dragon = static_cast<const DragonProtocol &>(system.protocol())
+                         .measurements();
+        }
+    }
     point.simPower = point.sim.processingPower();
 
-    const ExtractedParams extracted = extractParams(trace, cache, shared);
+    const ExtractedParams extracted = dragon
+        ? extractParams(trace, cache, shared, *dragon)
+        : extractParams(trace, cache, shared);
     point.model = evaluateBus(config.scheme, extracted.params, cpus);
     point.modelPower = point.model.processingPower;
 

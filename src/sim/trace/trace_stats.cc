@@ -24,6 +24,13 @@ struct RunState
     bool hasWrite = false;
 };
 
+/** A data block: its sharing class and its apl run. */
+struct BlockState
+{
+    bool shared = false;
+    RunState run;
+};
+
 /** Per-(cpu, block) dirtiness for mdshd measurement. */
 struct FlushKey
 {
@@ -44,6 +51,25 @@ struct FlushKeyHash
 
 } // namespace
 
+std::unordered_set<Addr>
+dynamicSharedBlocks(const TraceBuffer &trace, std::size_t block_bytes)
+{
+    const Addr block_mask = ~static_cast<Addr>(block_bytes - 1);
+    std::unordered_map<Addr, CpuId> first_toucher;
+    std::unordered_set<Addr> shared_blocks;
+    for (const TraceEvent &event : trace) {
+        if (!isData(event.type)) {
+            continue;
+        }
+        const Addr block = event.addr & block_mask;
+        auto [it, inserted] = first_toucher.emplace(block, event.cpu);
+        if (!inserted && it->second != event.cpu) {
+            shared_blocks.insert(block);
+        }
+    }
+    return shared_blocks;
+}
+
 TraceStatistics
 analyzeTrace(const TraceBuffer &trace, std::size_t block_bytes,
              const SharedClassifier &classifier)
@@ -57,34 +83,17 @@ analyzeTrace(const TraceBuffer &trace, std::size_t block_bytes,
 
     const Addr block_mask = ~static_cast<Addr>(block_bytes - 1);
 
-    // Pass 1: identify shared blocks.
-    std::unordered_map<Addr, CpuId> first_toucher;
-    std::unordered_set<Addr> shared_blocks;
-    for (const TraceEvent &event : trace) {
-        if (!isData(event.type)) {
-            continue;
-        }
-        const Addr block = event.addr & block_mask;
-        if (classifier) {
-            if (classifier(block)) {
-                shared_blocks.insert(block);
-            }
-            continue;
-        }
-        auto [it, inserted] = first_toucher.emplace(block, event.cpu);
-        if (!inserted && it->second != event.cpu) {
-            shared_blocks.insert(block);
-        }
+    // Without a classifier, sharing is known only once the whole trace
+    // has been seen.
+    std::unordered_set<Addr> dynamic_shared;
+    if (!classifier) {
+        dynamic_shared = dynamicSharedBlocks(trace, block_bytes);
     }
 
-    auto is_shared = [&](Addr block) {
-        return shared_blocks.contains(block);
-    };
-
-    // Pass 2: counts, apl run lengths, mdshd.
-    std::unordered_map<Addr, RunState> runs;
+    // One pass: counts, apl run lengths, mdshd. Each data block is
+    // classified once, on its first reference.
+    std::unordered_map<Addr, BlockState> blocks;
     std::unordered_map<FlushKey, bool, FlushKeyHash> dirty;
-    std::unordered_set<Addr> data_blocks;
     for (const TraceEvent &event : trace) {
         const Addr block = event.addr & block_mask;
         switch (event.type) {
@@ -111,38 +120,44 @@ analyzeTrace(const TraceBuffer &trace, std::size_t block_bytes,
 
         // Loads and stores only from here on.
         ++stats.dataRefs;
-        data_blocks.insert(block);
-        const bool shared = is_shared(block);
-        const bool write = event.type == RefType::Store;
-        if (shared) {
-            ++stats.sharedRefs;
-            if (write) {
-                ++stats.sharedWrites;
+        auto [it, first_reference] = blocks.try_emplace(block);
+        BlockState &state = it->second;
+        if (first_reference) {
+            state.shared = classifier ? classifier(block)
+                                      : dynamic_shared.contains(block);
+            if (state.shared) {
+                ++stats.sharedBlocks;
             }
-            if (write) {
-                dirty[FlushKey{block, event.cpu}] = true;
-            }
+        }
+        if (!state.shared) {
+            continue;
+        }
 
-            // apl: count the run of references by one processor, at
-            // least one a write, terminated by another processor.
-            RunState &run = runs[block];
-            if (run.length > 0 && run.cpu == event.cpu) {
-                ++run.length;
-                run.hasWrite = run.hasWrite || write;
-            } else {
-                if (run.length > 0 && run.hasWrite) {
-                    ++stats.aplRuns;
-                    stats.aplRunRefs += run.length;
-                }
-                run.cpu = event.cpu;
-                run.length = 1;
-                run.hasWrite = write;
+        const bool write = event.type == RefType::Store;
+        ++stats.sharedRefs;
+        if (write) {
+            ++stats.sharedWrites;
+            dirty[FlushKey{block, event.cpu}] = true;
+        }
+
+        // apl: count the run of references by one processor, at least
+        // one a write, terminated by another processor.
+        RunState &run = state.run;
+        if (run.length > 0 && run.cpu == event.cpu) {
+            ++run.length;
+            run.hasWrite = run.hasWrite || write;
+        } else {
+            if (run.length > 0 && run.hasWrite) {
+                ++stats.aplRuns;
+                stats.aplRunRefs += run.length;
             }
+            run.cpu = event.cpu;
+            run.length = 1;
+            run.hasWrite = write;
         }
     }
 
-    stats.dataBlocks = data_blocks.size();
-    stats.sharedBlocks = shared_blocks.size();
+    stats.dataBlocks = blocks.size();
 
     if (stats.instructions > 0) {
         stats.ls = static_cast<double>(stats.dataRefs) /

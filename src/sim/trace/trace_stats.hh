@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <functional>
 #include <optional>
+#include <unordered_set>
 
 #include "sim/trace/trace_buffer.hh"
 
@@ -82,6 +83,15 @@ struct TraceStatistics
      */
     std::optional<double> aplPerFlush;
 };
+
+/**
+ * The dynamic interpretation of sharing: the data blocks of @p trace
+ * (at @p block_bytes granularity, a power of two) that more than one
+ * processor references. analyzeTrace() uses this set when it has no
+ * classifier.
+ */
+std::unordered_set<Addr> dynamicSharedBlocks(const TraceBuffer &trace,
+                                             std::size_t block_bytes);
 
 /**
  * Analyzes a trace at the given block granularity.
