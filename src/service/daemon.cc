@@ -7,7 +7,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -19,7 +18,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "core/atomic_file.hh"
 #include "core/obs/json.hh"
 #include "core/obs/log.hh"
 #include "core/obs/metrics.hh"
@@ -27,7 +25,6 @@
 #include "core/obs/trace.hh"
 #include "core/solver_cache.hh"
 #include "core/types.hh"
-#include "service/flight_recorder.hh"
 #include "service/latency_histogram.hh"
 #include "service/mpmc_queue.hh"
 #include "service/protocol.hh"
@@ -111,7 +108,7 @@ struct ServiceDaemon::Impl
 {
     explicit Impl(DaemonConfig cfg)
         : config(std::move(cfg)), kernel(config.limits),
-          flight(config.flightRecords), queue(kQueueCapacity)
+          queue(kQueueCapacity)
     {
         if (config.batchMax == 0) {
             config.batchMax = 1;
@@ -145,7 +142,6 @@ struct ServiceDaemon::Impl
     /** Trace ids start at 1 so 0 always means "untraced". */
     std::atomic<std::uint64_t> nextTraceId{1};
 
-    FlightRecorder flight;
     std::vector<std::unique_ptr<WorkerTelemetry>> workerStats;
 
     MpmcQueue<Submission> queue;
@@ -199,7 +195,6 @@ struct ServiceDaemon::Impl
     void submit(Submission sub);
     std::string buildStatsJson() const;
     std::string buildScrape() const;
-    std::string dumpFlight() const;
     void reapFinished(bool join_all);
 };
 
@@ -631,16 +626,9 @@ ServiceDaemon::Impl::workerLoop(unsigned index)
     try {
         workerBody(index);
     } catch (const std::exception &e) {
-        // A dying worker strands its in-flight queries; dump the
-        // flight recorder so the post-mortem shows what it was doing.
+        // A dying worker strands its in-flight queries.
         SWCC_LOG_ERROR("swccd worker " + std::to_string(index) +
                        " died: " + e.what());
-        try {
-            SWCC_LOG_ERROR("flight recorder dumped to " + dumpFlight());
-        } catch (const std::exception &dump_error) {
-            SWCC_LOG_ERROR(std::string("flight-recorder dump failed: ") +
-                           dump_error.what());
-        }
     }
 }
 
@@ -648,7 +636,6 @@ void
 ServiceDaemon::Impl::workerBody(unsigned index)
 {
     WorkerTelemetry &telemetry = *workerStats[index];
-    const bool slowLog = config.slowQueryUs > 0;
     std::vector<Submission> batch;
     std::vector<Query> batchQueries;
     std::vector<QueryResult> batchResults;
@@ -699,9 +686,6 @@ ServiceDaemon::Impl::workerBody(unsigned index)
             }
         }
 #endif
-        const SolverCacheStats cacheBefore =
-            slowLog ? solverCacheStats() : SolverCacheStats{};
-
         batchQueries.clear();
         batchResults.clear();
         batchQueries.reserve(batch.size());
@@ -781,56 +765,6 @@ ServiceDaemon::Impl::workerBody(unsigned index)
                 static_cast<double>(popNs - s.enqueueNs) / 1000.0);
         }
 #endif
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            const Submission &s = batch[i];
-            FlightRecord record;
-            record.traceId = s.trace.traceId;
-            record.decodeNs = s.decodeNs;
-            record.queueWaitNs = popNs - s.enqueueNs;
-            record.solveNs = solveNs;
-            record.totalNs = completeNs - s.decodeNs;
-            record.batchSize =
-                static_cast<std::uint32_t>(batch.size());
-            record.size = s.query.size;
-            record.domain = s.query.domain;
-            record.scheme = s.query.scheme;
-            record.ok = batchResults[i].error.empty();
-            flight.record(record);
-        }
-        if (slowLog) {
-            const SolverCacheStats cacheAfter = solverCacheStats();
-            for (std::size_t i = 0; i < batch.size(); ++i) {
-                const Submission &s = batch[i];
-                const std::uint64_t totalNs = completeNs - s.decodeNs;
-                if (totalNs < config.slowQueryUs * 1000) {
-                    continue;
-                }
-                // One record per slow query, by design: this is the
-                // per-event path, not the once-per-site SWCC_LOG_WARN.
-                SWCC_LOG_AT(
-                    ::swcc::obs::LogLevel::Warn,
-                    "{\"slow_query\":{\"trace_id\":" +
-                    std::to_string(s.trace.traceId) +
-                    ",\"domain\":\"" +
-                    std::string(domainName(s.query.domain)) +
-                    "\",\"scheme\":\"" +
-                    std::string(schemeName(s.query.scheme)) +
-                    "\",\"size\":" + std::to_string(s.query.size) +
-                    ",\"queue_wait_us\":" +
-                    std::to_string((popNs - s.enqueueNs) / 1000) +
-                    ",\"solve_us\":" +
-                    std::to_string(solveNs / 1000) +
-                    ",\"total_us\":" + std::to_string(totalNs / 1000) +
-                    ",\"batch_size\":" +
-                    std::to_string(batch.size()) +
-                    ",\"cache_hits\":" +
-                    std::to_string(cacheAfter.hits - cacheBefore.hits) +
-                    ",\"cache_misses\":" +
-                    std::to_string(cacheAfter.misses -
-                                   cacheBefore.misses) +
-                    "}}");
-            }
-        }
         // Release the connections only after the wakes: a connection
         // with workerRefs > 0 is never reaped.
         for (const Submission &s : batch) {
@@ -1063,9 +997,6 @@ ServiceDaemon::Impl::buildScrape() const
     gauge("service.workers", static_cast<double>(config.workers));
     gauge("service.batch_limit",
           static_cast<double>(config.batchMax));
-    gauge("service.flight_records",
-          static_cast<double>(std::min<std::uint64_t>(
-              flight.totalRecorded(), flight.capacity())));
 
     // Merged per-worker latency histograms, in microseconds.
     LatencyHistogram request;
@@ -1104,18 +1035,6 @@ ServiceDaemon::Impl::buildScrape() const
         }
     }
     return out;
-}
-
-std::string
-ServiceDaemon::Impl::dumpFlight() const
-{
-    const std::string path = config.flightRecorderPath.empty()
-        ? config.socketPath + ".flight.json"
-        : config.flightRecorderPath;
-    const std::string json = flight.toJson();
-    atomicWriteFile(
-        path, [&](std::ostream &os) { os << json; });
-    return path;
 }
 
 ServiceDaemon::ServiceDaemon(DaemonConfig config)
@@ -1282,12 +1201,6 @@ std::string
 ServiceDaemon::scrapeText() const
 {
     return impl_->buildScrape();
-}
-
-std::string
-ServiceDaemon::dumpFlightRecorder() const
-{
-    return impl_->dumpFlight();
 }
 
 } // namespace swcc::service

@@ -62,19 +62,6 @@ struct DaemonConfig
     ServiceKernel::Limits limits;
     /** Concurrent connections admitted; extras are refused. */
     unsigned maxConnections = 1024;
-    /**
-     * Queries whose decode-to-completion latency reaches this many
-     * microseconds are logged as structured JSON lines through the
-     * leveled logger (warn level). 0 disables the slow-query log.
-     */
-    std::uint64_t slowQueryUs = 0;
-    /** Completed-request summaries kept by the flight recorder. */
-    std::size_t flightRecords = 1024;
-    /**
-     * Flight-recorder dump destination for dumpFlightRecorder();
-     * empty means "<socketPath>.flight.json".
-     */
-    std::string flightRecorderPath;
 };
 
 /** Monotonic daemon-wide totals (also mirrored as service.* metrics). */
@@ -134,16 +121,6 @@ class ServiceDaemon
      * compiled in — the process metrics registry.
      */
     std::string scrapeText() const;
-
-    /**
-     * Writes the flight-recorder snapshot (last N completed-request
-     * summaries) as JSON via atomicWriteFile and returns the path
-     * written (config().flightRecorderPath, defaulting to
-     * "<socketPath>.flight.json").
-     *
-     * @throws std::runtime_error if the file cannot be written.
-     */
-    std::string dumpFlightRecorder() const;
 
     /** @internal Implementation state (public for daemon.cc only). */
     struct Impl;

@@ -5,9 +5,8 @@
  * A TraceContext is minted on the connection thread when a request is
  * decoded and rides with the query through the protocol structs, the
  * MPMC submission queue, and the batching worker. The trace id keys
- * every cross-thread correlation for that request: flow arrows and
- * async queue intervals in the Chrome/Perfetto trace, the slow-query
- * log line, and the flight-recorder slot.
+ * every cross-thread correlation for that request: the flow arrows
+ * and async queue intervals in the Chrome/Perfetto trace.
  */
 
 #ifndef SWCC_SERVICE_TRACE_CONTEXT_HH

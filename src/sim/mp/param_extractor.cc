@@ -154,7 +154,7 @@ extractParams(const TraceBuffer &trace, const CacheConfig &cache_config,
     params.mains = out.baseStats.instrMissRate();
     params.md = out.baseStats.dirtyMissFraction();
     // These two are only measurable when the trace actually exercises
-    // write runs / shared dirty misses; a short or read-only trace
+    // write runs / flushes; a short, read-only or flush-free trace
     // silently inheriting the paper's middle value has misled more
     // than one experiment, so say so.
     if (!out.traceStats.apl.has_value()) {
@@ -162,8 +162,8 @@ extractParams(const TraceBuffer &trace, const CacheConfig &cache_config,
                       "paper's middle value");
     }
     if (!out.traceStats.mdshd.has_value()) {
-        SWCC_LOG_WARN("trace has no shared-block misses; mdshd falls "
-                      "back to the paper's middle value");
+        SWCC_LOG_WARN("trace has no flush events; mdshd falls back "
+                      "to the paper's middle value");
     }
     params.apl = std::max(
         1.0, out.traceStats.apl.value_or(

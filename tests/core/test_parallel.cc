@@ -294,24 +294,29 @@ TEST(ParallelDeterminismTest, SensitivityTableIsBitIdentical)
 
 TEST(ParallelDeterminismTest, ValidationMatrixIsBitIdentical)
 {
-    ValidationConfig config;
-    config.scheme = Scheme::Dragon;
-    config.maxCpus = 3;
-    config.instructionsPerCpu = 20'000;
-    config.seed = 7;
+    for (Scheme scheme : {Scheme::Base, Scheme::Dragon}) {
+        ValidationConfig config;
+        config.scheme = scheme;
+        config.maxCpus = 3;
+        config.instructionsPerCpu = 20'000;
+        config.seed = 7;
 
-    setThreadCount(1);
-    const auto serial = validate(config);
-    setThreadCount(4);
-    const auto parallel = validate(config);
-    setThreadCount(0);
+        setThreadCount(1);
+        const auto serial = validate(config);
+        setThreadCount(4);
+        const auto parallel = validate(config);
+        setThreadCount(0);
 
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i].cpus, parallel[i].cpus);
-        EXPECT_EQ(serial[i].simPower, parallel[i].simPower);
-        EXPECT_EQ(serial[i].modelPower, parallel[i].modelPower);
-        EXPECT_EQ(serial[i].sim.makespan, parallel[i].sim.makespan);
+        ASSERT_EQ(serial.size(), parallel.size()) << schemeName(scheme);
+        for (std::size_t i = 0; i < serial.size(); ++i) {
+            EXPECT_EQ(serial[i].cpus, parallel[i].cpus);
+            EXPECT_EQ(serial[i].simPower, parallel[i].simPower)
+                << schemeName(scheme);
+            EXPECT_EQ(serial[i].modelPower, parallel[i].modelPower)
+                << schemeName(scheme);
+            EXPECT_EQ(serial[i].sim.makespan, parallel[i].sim.makespan)
+                << schemeName(scheme);
+        }
     }
 }
 

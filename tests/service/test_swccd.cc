@@ -17,7 +17,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
@@ -482,90 +481,6 @@ TEST_F(ServiceDaemonTest, QueueWaitIsVisibleOnlyThroughTheDaemon)
 #endif
 }
 
-TEST_F(ServiceDaemonTest, FlightRecorderDumpIsValidJson)
-{
-    startDaemon();
-    ServiceClient client;
-    client.connect(socket_);
-    (void)client.query(busQuery(Scheme::Base, 4));
-    (void)client.query(networkQuery(Scheme::SoftwareFlush, 6));
-    // Flight records land after the responses are flushed; wait for
-    // the sampled gauge to show both before dumping.
-    (void)scrapeUntilAtLeast(client, "service_flight_records", 2.0);
-
-    const std::string path = daemon_->dumpFlightRecorder();
-    EXPECT_EQ(path, socket_ + ".flight.json");
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good()) << path;
-    std::ostringstream text;
-    text << in.rdbuf();
-
-    const obs::JsonValue doc = obs::parseJson(text.str());
-    ASSERT_TRUE(doc.isObject());
-    const obs::JsonValue *recorder = doc.find("flight_recorder");
-    ASSERT_NE(recorder, nullptr);
-    EXPECT_GE(recorder->find("capacity")->number, 16.0);
-    EXPECT_GE(recorder->find("total_recorded")->number, 2.0);
-    const obs::JsonValue *records = recorder->find("records");
-    ASSERT_NE(records, nullptr);
-    ASSERT_TRUE(records->isArray());
-    ASSERT_GE(records->array.size(), 2u);
-    for (const obs::JsonValue &record : records->array) {
-        EXPECT_GE(record.find("trace_id")->number, 1.0);
-        EXPECT_GE(record.find("total_ns")->number, 0.0);
-        EXPECT_GE(record.find("batch_size")->number, 1.0);
-        EXPECT_FALSE(record.find("scheme")->string.empty());
-        EXPECT_TRUE(record.find("ok")->boolean);
-    }
-    ::unlink(path.c_str());
-}
-
-TEST_F(ServiceDaemonTest, SlowQueryLogEmitsParseableJson)
-{
-    // Threshold of 1 µs: every completed query counts as slow.
-    DaemonConfig config;
-    config.socketPath = socket_;
-    config.workers = 1;
-    config.batchMax = 4;
-    config.slowQueryUs = 1;
-    daemon_ = std::make_unique<ServiceDaemon>(config);
-    daemon_->start();
-    ASSERT_TRUE(ServiceClient::waitForServer(socket_, 5000));
-
-    std::ostringstream captured;
-    const obs::LogLevel saved = obs::logLevel();
-    obs::setLogSink(&captured);
-    obs::setLogLevel(obs::LogLevel::Warn);
-    {
-        ServiceClient client;
-        client.connect(socket_);
-        ASSERT_TRUE(client.query(busQuery(Scheme::Dragon, 24)).ok);
-    }
-    // The worker logs after completion is flushed; stopping joins the
-    // workers, so the capture below cannot race their writes.
-    daemon_->stop();
-    obs::setLogSink(nullptr);
-    obs::setLogLevel(saved);
-
-    const std::string text = captured.str();
-    const std::size_t at = text.find("{\"slow_query\"");
-    ASSERT_NE(at, std::string::npos) << text;
-    const std::size_t end = text.find('\n', at);
-    const obs::JsonValue doc =
-        obs::parseJson(text.substr(at, end - at));
-    const obs::JsonValue *entry = doc.find("slow_query");
-    ASSERT_NE(entry, nullptr);
-    EXPECT_GE(entry->find("trace_id")->number, 1.0);
-    EXPECT_EQ(entry->find("domain")->string, "bus");
-    EXPECT_EQ(entry->find("scheme")->string, "Dragon");
-    EXPECT_EQ(entry->find("size")->number, 24.0);
-    EXPECT_GE(entry->find("queue_wait_us")->number, 0.0);
-    EXPECT_GE(entry->find("solve_us")->number, 0.0);
-    EXPECT_GE(entry->find("total_us")->number, 1.0);
-    EXPECT_GE(entry->find("batch_size")->number, 1.0);
-    EXPECT_GE(entry->find("cache_misses")->number, 0.0);
-}
-
 TEST_F(ServiceDaemonTest, TracedRunEmitsConnectedFlowAcrossThreads)
 {
     if (!obs::compiledIn()) {
@@ -768,6 +683,16 @@ TEST(SwccdFlagTest, MaxNetworkStagesAbove31IsRejectedAtStartup)
     const std::string socket = "--socket /nonexistent-swccd-dir/s.sock";
     EXPECT_EQ(swccdExitCode(socket + " --max-network-stages 32"), 2);
     EXPECT_EQ(swccdExitCode(socket + " --max-network-stages 31"), 1);
+}
+
+TEST(SwccdFlagTest, RetiredTelemetryFlagsAreRejected)
+{
+    // The flight recorder and the slow-query log are gone; their flags
+    // must fail as unknown rather than be accepted and ignored.
+    const std::string socket = "--socket /nonexistent-swccd-dir/s.sock";
+    EXPECT_EQ(swccdExitCode(socket + " --flight-records 64"), 2);
+    EXPECT_EQ(swccdExitCode(socket + " --flight-recorder-out f.json"), 2);
+    EXPECT_EQ(swccdExitCode(socket + " --slow-query-us 1"), 2);
 }
 
 } // namespace

@@ -7,8 +7,9 @@
  * the simulator up without changing a single statistic. These tests
  * pin that invariant with SimStats::serialize() byte-equality — the
  * optimized directory snoop path against the retained reference scan,
- * for every protocol and application profile, and parallel sweeps
- * against serial ones across thread counts.
+ * for every protocol and application profile, parallel sweeps
+ * against serial ones across thread counts, and traced runs against
+ * untraced ones.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "core/obs/metrics.hh"
+#include "core/obs/trace.hh"
 #include "core/parallel.hh"
 #include "sim/cache/invalidate_protocol.hh"
 #include "sim/mp/system.hh"
@@ -170,6 +172,31 @@ TEST(GoldenStatsTest, SweepStatisticsAreThreadCountInvariant)
     setThreadCount(0);
 
     EXPECT_EQ(serial, parallel);
+}
+
+TEST(GoldenStatsTest, WideDragonRunIsTracerInvariant)
+{
+    // The traced run also records per-CPU retire and bus-grant spans
+    // on the simulated-time pid; none of that may feed back into the
+    // statistics. Under SWCC_OBS=OFF both runs take the same path.
+    const SyntheticWorkloadConfig workload =
+        profileConfig(AppProfile::PeroLike, 16, 3'000, 55, false);
+    const TraceBuffer trace = generateTrace(workload);
+    const SharedClassifier shared = workload.sharedClassifier();
+    const auto run = [&](bool tracing) {
+        obs::tracer().setEnabled(tracing);
+        MultiprocessorSystem system(Scheme::Dragon, cache64k(), 16,
+                                    shared);
+        const std::string serialized = system.run(trace).serialize();
+        obs::tracer().setEnabled(false);
+        return serialized;
+    };
+
+    obs::tracer().clearForTest();
+    const std::string untraced = run(false);
+    const std::string traced = run(true);
+    obs::tracer().clearForTest();
+    EXPECT_EQ(untraced, traced);
 }
 
 TEST(GoldenStatsTest, DirectoryFallsBackBeyondSixtyFourCpus)

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
+#include "core/obs/log.hh"
 #include "sim/mp/param_extractor.hh"
 #include "sim/synth/app_profiles.hh"
 #include "sim/synth/trace_generator.hh"
@@ -112,6 +116,52 @@ TEST(ExtractorDefaultsTest, HardwareTraceFallsBackForMdshd)
         extractParams(trace, cache64k(), workload.sharedClassifier());
     EXPECT_FALSE(extracted.traceStats.mdshd.has_value());
     EXPECT_DOUBLE_EQ(extracted.params.mdshd, 0.25);
+}
+
+/**
+ * Warnings extracting @p trace prints. Earlier warnings are flushed
+ * first so that each call site prints again instead of only counting.
+ */
+std::string
+extractionWarnings(const TraceBuffer &trace,
+                   const SharedClassifier &shared)
+{
+    std::ostringstream discarded;
+    std::ostringstream captured;
+    const obs::LogLevel saved = obs::logLevel();
+    obs::setLogLevel(obs::LogLevel::Warn);
+    obs::setLogSink(&discarded);
+    obs::flushLogRepeats();
+    obs::setLogSink(&captured);
+    (void)extractParams(trace, cache64k(), shared);
+    obs::setLogSink(nullptr);
+    obs::setLogLevel(saved);
+    return captured.str();
+}
+
+TEST(ExtractorDefaultsTest, MdshdFallbackWarningNamesMissingFlushes)
+{
+    // analyzeTrace leaves mdshd unset only when the trace holds no
+    // flush events, so that is the cause the warning has to give.
+    const SyntheticWorkloadConfig workload =
+        profileConfig(AppProfile::ThorLike, 2, 10'000, 7, false);
+    const std::string warnings = extractionWarnings(
+        generateTrace(workload), workload.sharedClassifier());
+    EXPECT_NE(warnings.find("trace has no flush events; mdshd falls "
+                            "back"),
+              std::string::npos)
+        << warnings;
+    EXPECT_EQ(warnings.find("shared-block misses"), std::string::npos)
+        << warnings;
+}
+
+TEST(ExtractorDefaultsTest, FlushBearingTraceGivesNoMdshdWarning)
+{
+    const SyntheticWorkloadConfig workload =
+        profileConfig(AppProfile::PopsLike, 4, 20'000, 33, true);
+    const std::string warnings = extractionWarnings(
+        generateTrace(workload), workload.sharedClassifier());
+    EXPECT_EQ(warnings.find("mdshd"), std::string::npos) << warnings;
 }
 
 TEST(ExtractorDefaultsTest, DynamicSharingWorksWithoutClassifier)

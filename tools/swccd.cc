@@ -36,16 +36,8 @@ swcc::service::ServiceDaemon *g_daemon = nullptr;
 int g_signal_pipe[2] = {-1, -1};
 
 extern "C" void
-handleSignal(int sig)
+handleSignal(int)
 {
-    if (sig == SIGUSR1) {
-        // Flight-recorder dump request: just relay the byte; the
-        // main thread does the (non-signal-safe) file write.
-        const char byte = 'u';
-        [[maybe_unused]] const ssize_t n =
-            ::write(g_signal_pipe[1], &byte, 1);
-        return;
-    }
     if (g_daemon != nullptr) {
         g_daemon->requestStop();
     }
@@ -62,13 +54,7 @@ usage(std::ostream &out, int code)
            "[--max-bus-processors N]\n"
            "             [--max-network-stages N] [--metrics-out "
            "PATH]\n"
-           "             [--trace-json PATH] [--log-level LEVEL]\n"
-           "             [--slow-query-us N] [--flight-records N]\n"
-           "             [--flight-recorder-out PATH]\n"
-           "\n"
-           "SIGUSR1 dumps the flight recorder (last N completed\n"
-           "requests) to --flight-recorder-out (default\n"
-           "<socket>.flight.json) without disturbing service.\n";
+           "             [--trace-json PATH] [--log-level LEVEL]\n";
     return code;
 }
 
@@ -132,13 +118,6 @@ main(int argc, char **argv)
             } else if (arg == "--max-network-stages") {
                 config.limits.maxNetworkStages = parseUnsigned(
                     arg, value(arg), swcc::kMaxNetworkStages);
-            } else if (arg == "--slow-query-us") {
-                config.slowQueryUs = parseUnsigned(arg, value(arg));
-            } else if (arg == "--flight-records") {
-                config.flightRecords =
-                    parseUnsigned(arg, value(arg));
-            } else if (arg == "--flight-recorder-out") {
-                config.flightRecorderPath = value(arg);
             } else if (arg == "--help" || arg == "-h") {
                 return usage(std::cout, 0);
             } else {
@@ -174,37 +153,16 @@ main(int argc, char **argv)
     ::sigemptyset(&action.sa_mask);
     ::sigaction(SIGINT, &action, nullptr);
     ::sigaction(SIGTERM, &action, nullptr);
-    ::sigaction(SIGUSR1, &action, nullptr);
 
     // The ready line tooling waits for (flushed before blocking).
     std::cout << "swccd: listening on " << daemon.config().socketPath
               << std::endl;
 
-    // Park until a signal arrives (EINTR or a byte on the pipe).
-    // SIGUSR1 ('u') dumps the flight recorder and keeps serving;
-    // anything else starts the drain.
+    // Park until SIGINT/SIGTERM writes a byte on the pipe; the
+    // handler has already started the drain.
     for (;;) {
         struct pollfd pfd = {g_signal_pipe[0], POLLIN, 0};
-        const int rc = ::poll(&pfd, 1, -1);
-        if (rc < 0 && errno == EINTR) {
-            continue;
-        }
-        if (rc <= 0) {
-            break;
-        }
-        char byte = 0;
-        if (::read(g_signal_pipe[0], &byte, 1) <= 0) {
-            break;
-        }
-        if (byte == 'u') {
-            try {
-                std::cout << "swccd: flight recorder dumped to "
-                          << daemon.dumpFlightRecorder()
-                          << std::endl;
-            } catch (const std::exception &e) {
-                std::cerr << "swccd: flight-recorder dump failed: "
-                          << e.what() << "\n";
-            }
+        if (::poll(&pfd, 1, -1) < 0 && errno == EINTR) {
             continue;
         }
         break;
