@@ -63,6 +63,7 @@ main()
     TextTable result({"scheme", "sim power", "model power", "error %",
                       "sim bus util"});
     for (Scheme scheme : kAllSchemes) {
+        warnDefaultedParams(extracted, scheme);
         MultiprocessorSystem system(scheme, cache, 4, shared);
         const SimStats stats = system.run(loaded);
         const BusSolution model =

@@ -108,20 +108,6 @@ dragonFrequencies(const WorkloadParams &p)
 }
 
 /**
- * Fraction of shared writes that open a write run. A run of apl shared
- * references contains about wr*apl writes; only the first one finds
- * remote copies to kill (the rest hit a line the invalidation made
- * exclusive), so invalidations fire at 1/(wr*apl) per shared write,
- * capped at one.
- */
-double
-firstWriteFraction(const WorkloadParams &p)
-{
-    const double writes_per_run = p.wr * p.apl;
-    return writes_per_run <= 1.0 ? 1.0 : 1.0 / writes_per_run;
-}
-
-/**
  * Invalidate-family frequency table (MESI and variants).
  *
  * Derivation, in the formalism of Table 6, from the eleven Table 2
@@ -240,6 +226,13 @@ hybridFrequencies(const WorkloadParams &p)
 }
 
 } // namespace
+
+double
+firstWriteFraction(const WorkloadParams &p)
+{
+    const double writes_per_run = p.wr * p.apl;
+    return writes_per_run <= 1.0 ? 1.0 : 1.0 / writes_per_run;
+}
 
 FrequencyVector
 operationFrequencies(Scheme scheme, const WorkloadParams &params)

@@ -81,6 +81,15 @@ FrequencyVector operationFrequencies(Scheme scheme,
  */
 double flushFrequency(const WorkloadParams &params);
 
+/**
+ * Fraction of shared writes that open a write run, as the invalidate
+ * family's tables use it. A run of apl shared references contains about
+ * wr*apl writes; only the first one finds remote copies to kill (the
+ * rest hit a line the invalidation made exclusive), so invalidations
+ * fire at 1/(wr*apl) per shared write, capped at one.
+ */
+double firstWriteFraction(const WorkloadParams &params);
+
 } // namespace swcc
 
 #endif // SWCC_CORE_FREQUENCY_MODEL_HH

@@ -15,7 +15,9 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string_view>
+#include <utility>
 
 namespace swcc
 {
@@ -90,6 +92,54 @@ schemeName(Scheme scheme)
       case Scheme::Hybrid:        return "Adaptive-Hybrid";
     }
     return "unknown";
+}
+
+/**
+ * Parses a scheme name, ignoring case: every schemeName() spelling,
+ * plus the aliases "nocache", "softwareflush", "sw-flush", "swflush",
+ * "flush" and "hybrid". The one parser of the CLI, the service
+ * protocol and the protocol checker.
+ *
+ * @return The scheme, or std::nullopt for an unknown name.
+ */
+constexpr std::optional<Scheme>
+parseScheme(std::string_view name)
+{
+    const auto lower = [](char c) {
+        return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a')
+                                    : c;
+    };
+    const auto matches = [&](std::string_view candidate) {
+        if (candidate.size() != name.size()) {
+            return false;
+        }
+        for (std::size_t i = 0; i < name.size(); ++i) {
+            if (lower(candidate[i]) != lower(name[i])) {
+                return false;
+            }
+        }
+        return true;
+    };
+    for (Scheme scheme : kAllSchemes) {
+        if (matches(schemeName(scheme))) {
+            return scheme;
+        }
+    }
+    constexpr std::array<std::pair<std::string_view, Scheme>, 6>
+        kAliases = {{
+            {"nocache", Scheme::NoCache},
+            {"softwareflush", Scheme::SoftwareFlush},
+            {"sw-flush", Scheme::SoftwareFlush},
+            {"swflush", Scheme::SoftwareFlush},
+            {"flush", Scheme::SoftwareFlush},
+            {"hybrid", Scheme::Hybrid},
+        }};
+    for (const auto &[alias, scheme] : kAliases) {
+        if (matches(alias)) {
+            return scheme;
+        }
+    }
+    return std::nullopt;
 }
 
 /**

@@ -126,33 +126,6 @@ lowercase(std::string_view text)
     return out;
 }
 
-bool
-schemeFromToken(std::string_view token, Scheme &scheme)
-{
-    const std::string name = lowercase(token);
-    if (name == "base") {
-        scheme = Scheme::Base;
-    } else if (name == "nocache" || name == "no-cache") {
-        scheme = Scheme::NoCache;
-    } else if (name == "softwareflush" || name == "software-flush" ||
-               name == "swflush") {
-        scheme = Scheme::SoftwareFlush;
-    } else if (name == "dragon") {
-        scheme = Scheme::Dragon;
-    } else if (name == "mesi") {
-        scheme = Scheme::Mesi;
-    } else if (name == "mesif") {
-        scheme = Scheme::Mesif;
-    } else if (name == "moesi") {
-        scheme = Scheme::Moesi;
-    } else if (name == "hybrid" || name == "adaptive-hybrid") {
-        scheme = Scheme::Hybrid;
-    } else {
-        return false;
-    }
-    return true;
-}
-
 /** Sets one workload parameter by its JSON key; false if unknown. */
 bool
 setParamByName(WorkloadParams &params, std::string_view key,
@@ -237,14 +210,17 @@ parseJsonRequest(std::string_view line, RequestFrame &frame)
                 return;
             }
         } else if (key == "scheme") {
-            if (!value.isString() ||
-                !schemeFromToken(value.string, frame.query.scheme)) {
+            const std::optional<Scheme> scheme = value.isString()
+                ? parseScheme(value.string)
+                : std::nullopt;
+            if (!scheme) {
                 frame.fieldError =
                     "unknown scheme (expected base, nocache, "
                     "softwareflush, dragon, mesi, mesif, moesi, or "
                     "hybrid)";
                 return;
             }
+            frame.query.scheme = *scheme;
         } else if (key == "size" || key == "n" || key == "cpus" ||
                    key == "stages") {
             if (!value.isNumber() || value.number < 0.0 ||

@@ -49,6 +49,7 @@ AccessResult::hasDirtyMiss() const
 
 CoherenceProtocol::CoherenceProtocol(const CacheConfig &cache_config,
                                      CpuId num_cpus)
+    : lostBlocks_(num_cpus)
 {
     if (num_cpus == 0) {
         throw std::invalid_argument("need at least one processor");

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "core/operation.hh"
@@ -72,10 +73,10 @@ struct AccessResult
  *
  * Directory is the optimized default: a block→holder-bitset
  * sharer index maintained on every fill/evict/invalidate lets snoops
- * visit only actual holders. ReferenceScan is the retained
- * pre-directory path — an O(P) probe of every other cache — kept so
- * that tests and the perf harness can assert the two produce
- * byte-identical statistics and measure the speedup.
+ * visit only actual holders. ReferenceScan is an O(P) probe of every
+ * other cache. It is the path beyond kMaxDirectoryCpus processors, and
+ * the tests' reference: both paths must produce byte-identical
+ * statistics.
  */
 enum class SnoopPath : std::uint8_t
 {
@@ -130,9 +131,8 @@ class CoherenceProtocol
                         AccessResult &out) = 0;
 
     /**
-     * Human-readable protocol name ("Dragon", "Write-Invalidate",
-     * ...). Extension protocols are not restricted to the paper's
-     * four schemes.
+     * Human-readable protocol name ("Dragon", "MESI", ...): the
+     * scheme's schemeName() for every built-in protocol.
      */
     virtual std::string_view name() const = 0;
 
@@ -254,6 +254,136 @@ class CoherenceProtocol
         }
     }
 
+    /** Who supplied the block a fillMiss() installed. */
+    enum class Supplier : std::uint8_t
+    {
+        Memory,
+        /** A dirty (or MOESI Owned) holder. */
+        Owner,
+        /** A clean holder acting as forwarder (MESIF). */
+        Forwarder,
+    };
+
+    /**
+     * The miss fill every snooping protocol shares: evicts @p victim
+     * (@p cpu's victimFor() line), snoops the other holders of
+     * @p addr's block, reports one of the four miss operations and
+     * installs the block in @p victim, SharedClean when other copies
+     * exist and Exclusive otherwise.
+     *
+     * Every other holder sees the fill, so an Exclusive copy demotes to
+     * SharedClean. A dirty holder supplies the data: it keeps
+     * ownership as SharedDirty when @p owner_keeps_ownership (Dragon,
+     * the hybrid, MOESI) and otherwise drops to SharedClean, memory
+     * being updated in the same transaction (Illinois: MESI, MESIF).
+     * With no dirty holder, a remaining copy supplies the block when
+     * @p clean_forwarder says one holds the forwarder slot.
+     */
+    Supplier
+    fillMiss(CpuId cpu, Addr addr, CacheLine &victim,
+             bool owner_keeps_ownership, bool clean_forwarder,
+             AccessResult &out)
+    {
+        const Addr block = caches_[cpu].blockAddr(addr);
+        const bool dirty_victim = evict(cpu, victim);
+
+        bool owner_supplied = false;
+        unsigned holders = 0;
+        // Safe: victim was invalidated above, so the holder walk can't
+        // alias it.
+        forEachOtherHolder(cpu, block, [&](CpuId other, CacheLine &line) {
+            ++holders;
+            if (isDirtyState(line.state)) {
+                owner_supplied = true;
+                setLineState(other, line,
+                             owner_keeps_ownership
+                                 ? LineState::SharedDirty
+                                 : LineState::SharedClean);
+            } else if (line.state == LineState::Exclusive) {
+                setLineState(other, line, LineState::SharedClean);
+            }
+        });
+
+        Supplier supplier = Supplier::Memory;
+        if (owner_supplied) {
+            supplier = Supplier::Owner;
+        } else if (clean_forwarder && holders > 0) {
+            supplier = Supplier::Forwarder;
+        }
+        if (supplier != Supplier::Memory) {
+            out.addOp(dirty_victim ? Operation::DirtyMissCache
+                                   : Operation::CleanMissCache);
+        } else {
+            out.addOp(dirty_victim ? Operation::DirtyMissMem
+                                   : Operation::CleanMissMem);
+        }
+
+        fillLine(cpu, victim, addr,
+                 holders > 0 ? LineState::SharedClean
+                             : LineState::Exclusive);
+        return supplier;
+    }
+
+    /**
+     * The write-update broadcast (Dragon, the hybrid's update mode):
+     * reports a WriteBroadcast and updates every other copy in place,
+     * each holder losing a snoop cycle and a previous owner its
+     * ownership. @p line, the writer's copy, ends SharedDirty when
+     * copies remain and Dirty when none did. Returns the number of
+     * copies updated.
+     */
+    unsigned
+    broadcastUpdate(CpuId cpu, CacheLine &line, AccessResult &out)
+    {
+        out.addOp(Operation::WriteBroadcast);
+        unsigned holders = 0;
+        forEachOtherHolder(cpu, line.blockAddr,
+                           [&](CpuId other, CacheLine &copy) {
+            ++holders;
+            out.steals.push_back(other);
+            setLineState(other, copy, LineState::SharedClean);
+        });
+        setLineState(cpu, line,
+                     holders > 0 ? LineState::SharedDirty
+                                 : LineState::Dirty);
+        return holders;
+    }
+
+    /**
+     * The write-invalidate broadcast (the MESI family, the hybrid's
+     * invalidate mode): reports a WriteBroadcast (priced as the word
+     * broadcast of Table 1) and destroys every other copy, each victim
+     * losing a snoop cycle, exactly like a Dragon update, and
+     * remembering the block for coherenceMiss(). @p line, the writer's
+     * copy, ends Dirty. Returns the number of copies destroyed.
+     */
+    unsigned
+    broadcastInvalidate(CpuId cpu, CacheLine &line, AccessResult &out)
+    {
+        const Addr block = line.blockAddr;
+        out.addOp(Operation::WriteBroadcast);
+        unsigned copies = 0;
+        forEachOtherHolder(cpu, block, [&](CpuId other, CacheLine &copy) {
+            ++copies;
+            invalidateLine(other, copy);
+            lostBlocks_[other].insert(block);
+            out.steals.push_back(other);
+        });
+        setLineState(cpu, line, LineState::Dirty);
+        return copies;
+    }
+
+    /**
+     * True if @p cpu lost @p block to a remote invalidation since it
+     * last held it, i.e. a miss on it is a coherence miss. Forgets the
+     * loss, so only the first miss counts.
+     */
+    bool
+    coherenceMiss(CpuId cpu, Addr block)
+    {
+        return lostBlocks_[cpu].erase(block) > 0;
+    }
+
     std::vector<Cache> caches_;
 
   private:
@@ -266,6 +396,8 @@ class CoherenceProtocol
     /** Block → bitset of holding caches; empty entries are erased. */
     HolderMap directory_;
     bool useDirectory_ = true;
+    /** Blocks each cache lost to a remote invalidation. */
+    std::vector<std::unordered_set<Addr>> lostBlocks_;
 };
 
 /**

@@ -74,12 +74,6 @@ class DragonProtocol : public CoherenceProtocol
     const DragonMeasurements &measurements() const { return measured_; }
 
   private:
-    /** Handles a load/ifetch/store miss; returns the installed line. */
-    CacheLine &handleMiss(CpuId cpu, Addr addr, AccessResult &out);
-
-    /** Performs the write-broadcast part of a store. */
-    void broadcast(CpuId cpu, CacheLine &line, AccessResult &out);
-
     SharedClassifier measureShared_;
     DragonMeasurements measured_;
 };

@@ -7,7 +7,7 @@ namespace swcc
 
 HybridProtocol::HybridProtocol(const CacheConfig &cache_config,
                                CpuId num_cpus)
-    : CoherenceProtocol(cache_config, num_cpus), lostBlocks_(num_cpus)
+    : CoherenceProtocol(cache_config, num_cpus)
 {
 }
 
@@ -18,76 +18,30 @@ HybridProtocol::inInvalidateMode(Addr block) const
     return it != policy_.end() && it->second.invalidateMode;
 }
 
-CacheLine &
-HybridProtocol::handleMiss(CpuId cpu, RefType type, Addr addr,
-                           AccessResult &out)
+void
+HybridProtocol::noteCoherenceMiss(Addr block)
 {
-    Cache &cache = caches_[cpu];
-    const Addr block = cache.blockAddr(addr);
-
-    if (lostBlocks_[cpu].erase(block) > 0) {
-        ++measured_.coherenceMisses;
-        // Someone wants the block back: invalidations are costing
-        // coherence misses, so decay the wasted-update evidence and
-        // flip back to update mode below the threshold.
-        const auto it = policy_.find(block);
-        if (it != policy_.end()) {
-            BlockPolicy &policy = it->second;
-            policy.wasted = policy.wasted > 0
-                ? static_cast<std::uint8_t>(policy.wasted - 1)
-                : std::uint8_t{0};
-            if (policy.invalidateMode &&
-                policy.wasted < kSwitchThreshold) {
-                policy.invalidateMode = false;
-                ++measured_.switchesToUpdate;
-            }
-        }
+    ++measured_.coherenceMisses;
+    // Someone wants the block back: invalidations are costing
+    // coherence misses, so decay the wasted-update evidence and flip
+    // back to update mode below the threshold.
+    const auto it = policy_.find(block);
+    if (it == policy_.end()) {
+        return;
     }
-
-    CacheLine &victim = cache.victimFor(addr);
-    const bool dirty_victim = evict(cpu, victim);
-
-    const bool supplied_by_cache = dirtyElsewhere(cpu, block);
-    unsigned holders = 0;
-    forEachOtherHolder(cpu, block, [&](CpuId other, CacheLine &line) {
-        ++holders;
-        // Dragon-style fill snoop: dirty owners keep ownership (they
-        // supplied the data), clean exclusives demote to shared.
-        if (line.state == LineState::Exclusive) {
-            setLineState(other, line, LineState::SharedClean);
-        } else if (line.state == LineState::Dirty) {
-            setLineState(other, line, LineState::SharedDirty);
-        }
-    });
-
-    if (supplied_by_cache) {
-        out.addOp(dirty_victim ? Operation::DirtyMissCache
-                               : Operation::CleanMissCache);
-    } else {
-        out.addOp(dirty_victim ? Operation::DirtyMissMem
-                               : Operation::CleanMissMem);
+    BlockPolicy &policy = it->second;
+    policy.wasted = policy.wasted > 0
+        ? static_cast<std::uint8_t>(policy.wasted - 1)
+        : std::uint8_t{0};
+    if (policy.invalidateMode && policy.wasted < kSwitchThreshold) {
+        policy.invalidateMode = false;
+        ++measured_.switchesToUpdate;
     }
-
-    fillLine(cpu, victim, addr,
-             holders > 0 ? LineState::SharedClean
-                         : LineState::Exclusive);
-
-    if (type == RefType::Store && holders > 0) {
-        // The fill made the line shared; the store part falls through
-        // to the shared-store path in access() via the returned line.
-        return victim;
-    }
-    if (type == RefType::Store) {
-        setLineState(cpu, victim, LineState::Dirty);
-    }
-    return victim;
 }
 
 void
-HybridProtocol::broadcastUpdate(CpuId cpu, CacheLine &line,
-                                AccessResult &out, BlockPolicy &policy)
+HybridProtocol::noteUpdateBroadcast(CpuId cpu, BlockPolicy &policy)
 {
-    out.addOp(Operation::WriteBroadcast);
     ++measured_.updateBroadcasts;
 
     // Usefulness accounting: a broadcast by the same writer with no
@@ -106,40 +60,6 @@ HybridProtocol::broadcastUpdate(CpuId cpu, CacheLine &line,
     }
     policy.lastWriter = cpu;
     policy.remoteAccessSinceWrite = false;
-
-    unsigned holders = 0;
-    forEachOtherHolder(cpu, line.blockAddr,
-                       [&](CpuId other, CacheLine &copy) {
-        ++holders;
-        // The holder's controller updates the word in place, stealing
-        // a cycle from its processor; a previous owner loses ownership.
-        out.steals.push_back(other);
-        setLineState(other, copy, LineState::SharedClean);
-    });
-
-    setLineState(cpu, line,
-                 holders > 0 ? LineState::SharedDirty
-                             : LineState::Dirty);
-}
-
-void
-HybridProtocol::broadcastInvalidate(CpuId cpu, CacheLine &line,
-                                    AccessResult &out)
-{
-    const Addr block = line.blockAddr;
-    out.addOp(Operation::WriteBroadcast);
-    ++measured_.invalidations;
-
-    unsigned copies = 0;
-    forEachOtherHolder(cpu, block, [&](CpuId other, CacheLine &copy) {
-        ++copies;
-        invalidateLine(other, copy);
-        lostBlocks_[other].insert(block);
-        out.steals.push_back(other);
-    });
-    measured_.copiesInvalidated += copies;
-
-    setLineState(cpu, line, LineState::Dirty);
 }
 
 void
@@ -170,19 +90,22 @@ HybridProtocol::access(CpuId cpu, RefType type, Addr addr,
     if (line != nullptr) {
         cache.touch(*line);
     } else {
-        line = &handleMiss(cpu, type, addr, out);
-        if (type != RefType::Store ||
-            line->state != LineState::SharedClean) {
-            return;
+        if (coherenceMiss(cpu, block)) {
+            noteCoherenceMiss(block);
         }
-        // A store miss that filled shared continues into the shared-
-        // store path below, exactly like a store hit on a shared line.
+        // Dragon-style fill: dirty owners keep ownership (they
+        // supplied the data).
+        line = &cache.victimFor(addr);
+        fillMiss(cpu, addr, *line, /*owner_keeps_ownership=*/true,
+                 /*clean_forwarder=*/false, out);
     }
 
     if (type != RefType::Store) {
         return;
     }
 
+    // A store miss that filled shared takes the shared-store path,
+    // exactly like a store hit on a shared line.
     switch (line->state) {
       case LineState::Exclusive:
       case LineState::Dirty:
@@ -193,9 +116,12 @@ HybridProtocol::access(CpuId cpu, RefType type, Addr addr,
       case LineState::SharedDirty: {
         BlockPolicy &policy = policy_[block];
         if (policy.invalidateMode) {
-            broadcastInvalidate(cpu, *line, out);
+            ++measured_.invalidations;
+            measured_.copiesInvalidated +=
+                broadcastInvalidate(cpu, *line, out);
         } else {
-            broadcastUpdate(cpu, *line, out, policy);
+            noteUpdateBroadcast(cpu, policy);
+            broadcastUpdate(cpu, *line, out);
         }
         return;
       }

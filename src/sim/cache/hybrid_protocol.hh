@@ -22,8 +22,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
-#include <vector>
 
 #include "sim/cache/coherence.hh"
 
@@ -93,23 +91,15 @@ class HybridProtocol : public CoherenceProtocol
         bool invalidateMode = false;
     };
 
-    /** Handles a load/ifetch/store miss; returns the installed line. */
-    CacheLine &handleMiss(CpuId cpu, RefType type, Addr addr,
-                          AccessResult &out);
+    /** A coherence miss on @p block decays its wasted counter. */
+    void noteCoherenceMiss(Addr block);
 
-    /** Dragon-style word broadcast updating remote copies in place. */
-    void broadcastUpdate(CpuId cpu, CacheLine &line, AccessResult &out,
-                         BlockPolicy &policy);
-
-    /** MESI-style invalidation of every remote copy. */
-    void broadcastInvalidate(CpuId cpu, CacheLine &line,
-                             AccessResult &out);
+    /** Scores @p cpu's update broadcast and may flip the block. */
+    void noteUpdateBroadcast(CpuId cpu, BlockPolicy &policy);
 
     HybridMeasurements measured_;
     /** Block → adaptive policy; entries appear on first broadcast. */
     std::unordered_map<Addr, BlockPolicy> policy_;
-    /** Blocks each cache lost to a remote invalidation. */
-    std::vector<std::unordered_set<Addr>> lostBlocks_;
 };
 
 } // namespace swcc

@@ -6,8 +6,7 @@ namespace swcc
 MesiFamilyProtocol::MesiFamilyProtocol(MesiVariant variant,
                                        const CacheConfig &cache_config,
                                        CpuId num_cpus)
-    : CoherenceProtocol(cache_config, num_cpus), variant_(variant),
-      lostBlocks_(num_cpus)
+    : CoherenceProtocol(cache_config, num_cpus), variant_(variant)
 {
 }
 
@@ -18,97 +17,55 @@ MesiFamilyProtocol::forwarderOf(Addr block) const
     return it == forwarder_.end() ? -1 : static_cast<int>(it->second);
 }
 
-unsigned
-MesiFamilyProtocol::invalidateRemotes(CpuId cpu, Addr block,
+void
+MesiFamilyProtocol::invalidateRemotes(CpuId cpu, CacheLine &line,
                                       AccessResult &out)
 {
-    unsigned copies = 0;
-    forEachOtherHolder(cpu, block, [&](CpuId other, CacheLine &line) {
-        ++copies;
-        invalidateLine(other, line);
-        lostBlocks_[other].insert(block);
-        // The victim's controller spends a snoop cycle killing the
-        // line, exactly like a Dragon update.
-        out.steals.push_back(other);
-    });
-    measured_.copiesInvalidated += copies;
+    ++measured_.invalidations;
+    measured_.copiesInvalidated += broadcastInvalidate(cpu, line, out);
     // The writer now holds the sole (dirty) copy, so no clean
     // forwarder for the block can exist.
     if (variant_ == MesiVariant::Mesif) {
-        forwarder_.erase(block);
+        forwarder_.erase(line.blockAddr);
     }
-    return copies;
 }
 
 CacheLine &
-MesiFamilyProtocol::handleMiss(CpuId cpu, RefType type, Addr addr,
-                               AccessResult &out)
+MesiFamilyProtocol::handleMiss(CpuId cpu, Addr addr, AccessResult &out)
 {
     Cache &cache = caches_[cpu];
     const Addr block = cache.blockAddr(addr);
 
-    if (lostBlocks_[cpu].erase(block) > 0) {
+    if (coherenceMiss(cpu, block)) {
         ++measured_.coherenceMisses;
     }
 
     CacheLine &victim = cache.victimFor(addr);
-    const bool victim_valid = victim.state != LineState::Invalid;
-    const Addr victim_block = victim.blockAddr;
-    const bool dirty_victim = evict(cpu, victim);
-    if (variant_ == MesiVariant::Mesif && victim_valid) {
+    const bool mesif = variant_ == MesiVariant::Mesif;
+    if (mesif && isValidState(victim.state)) {
         // An evicted forwarder copy silently drops the slot; the next
         // shared miss to the block re-seats it (or goes to memory).
-        const auto it = forwarder_.find(victim_block);
+        const auto it = forwarder_.find(victim.blockAddr);
         if (it != forwarder_.end() && it->second == cpu) {
             forwarder_.erase(it);
         }
     }
 
-    bool supplied_by_owner = false;
-    unsigned holders = 0;
-    forEachOtherHolder(cpu, block, [&](CpuId other, CacheLine &line) {
-        ++holders;
-        if (isDirtyState(line.state)) {
-            supplied_by_owner = true;
-            if (variant_ == MesiVariant::Moesi) {
-                // MOESI: the owner supplies the block and *keeps*
-                // ownership (Owned); memory stays stale and the
-                // write-back is deferred to the owner's eviction.
-                setLineState(other, line, LineState::SharedDirty);
-            } else {
-                // Illinois: the owner supplies the block and memory is
-                // updated in the same transaction; the owner keeps a
-                // shared clean copy.
-                setLineState(other, line, LineState::SharedClean);
-            }
-        } else if (line.state == LineState::Exclusive) {
-            setLineState(other, line, LineState::SharedClean);
-        }
-    });
-
-    bool supplied_by_cache = supplied_by_owner;
-    if (supplied_by_owner) {
+    // MOESI: a supplying owner keeps ownership (Owned) and memory
+    // stays stale, deferring the write-back to the owner's eviction.
+    const Supplier supplier =
+        fillMiss(cpu, addr, victim,
+                 /*owner_keeps_ownership=*/variant_ == MesiVariant::Moesi,
+                 /*clean_forwarder=*/mesif && forwarder_.contains(block),
+                 out);
+    if (supplier == Supplier::Owner) {
         ++measured_.ownerSupplies;
-    } else if (variant_ == MesiVariant::Mesif && holders > 0 &&
-               forwarder_.contains(block)) {
-        // The clean forwarder supplies the block cache-to-cache.
-        supplied_by_cache = true;
+    } else if (supplier == Supplier::Forwarder) {
         ++measured_.forwardSupplies;
     }
 
-    if (supplied_by_cache) {
-        out.addOp(dirty_victim ? Operation::DirtyMissCache
-                               : Operation::CleanMissCache);
-    } else {
-        out.addOp(dirty_victim ? Operation::DirtyMissMem
-                               : Operation::CleanMissMem);
-    }
-
-    fillLine(cpu, victim, addr,
-             holders > 0 ? LineState::SharedClean
-                         : LineState::Exclusive);
-    if (variant_ == MesiVariant::Mesif) {
-        if (holders > 0) {
+    if (mesif) {
+        if (victim.state == LineState::SharedClean) {
             // The newest sharer takes the forwarder slot (real MESIF
             // hands F to the most recent requester, keeping the slot
             // on the copy least likely to be evicted soon).
@@ -116,18 +73,6 @@ MesiFamilyProtocol::handleMiss(CpuId cpu, RefType type, Addr addr,
         } else {
             forwarder_.erase(block);
         }
-    }
-
-    if (type == RefType::Store) {
-        // Read-for-ownership: kill the other copies and write.
-        if (holders > 0) {
-            out.addOp(Operation::WriteBroadcast);
-            ++measured_.invalidations;
-            invalidateRemotes(cpu, block, out);
-        }
-        CacheLine *line = cache.find(addr);
-        setLineState(cpu, *line, LineState::Dirty);
-        return *line;
     }
     return victim;
 }
@@ -145,36 +90,31 @@ MesiFamilyProtocol::access(CpuId cpu, RefType type, Addr addr,
     Cache &cache = caches_[cpu];
 
     CacheLine *line = cache.find(addr);
-    if (line == nullptr) {
-        handleMiss(cpu, type, addr, out);
-        return;
+    if (line != nullptr) {
+        cache.touch(*line);
+    } else {
+        line = &handleMiss(cpu, addr, out);
     }
-    cache.touch(*line);
 
     if (type != RefType::Store) {
         return;
     }
 
+    // A store miss is a read-for-ownership: the fill above, then the
+    // same transition as a store hit on the filled line.
     switch (line->state) {
       case LineState::Exclusive:
       case LineState::Dirty:
         setLineState(cpu, *line, LineState::Dirty);
         return;
-      case LineState::SharedClean: {
-        out.addOp(Operation::WriteBroadcast);
-        ++measured_.invalidations;
-        invalidateRemotes(cpu, cache.blockAddr(addr), out);
-        setLineState(cpu, *line, LineState::Dirty);
+      case LineState::SharedClean:
+        invalidateRemotes(cpu, *line, out);
         return;
-      }
       case LineState::SharedDirty:
         if (variant_ == MesiVariant::Moesi) {
             // The owner upgrades: invalidate the other sharers and
             // return to the sole-dirty state.
-            out.addOp(Operation::WriteBroadcast);
-            ++measured_.invalidations;
-            invalidateRemotes(cpu, cache.blockAddr(addr), out);
-            setLineState(cpu, *line, LineState::Dirty);
+            invalidateRemotes(cpu, *line, out);
             return;
         }
         [[fallthrough]];

@@ -15,9 +15,10 @@
  *    a dirty owner supplying a miss keeps ownership and memory stays
  *    stale, deferring the write-back to the owner's eviction.
  *
- * MESI itself is behaviorally identical to the standalone
- * InvalidateProtocol extension, which the tests exploit as a
- * cross-implementation oracle.
+ * The miss fill and the invalidate walk are CoherenceProtocol's, shared
+ * with Dragon and the hybrid; this driver adds the forwarder slot, the
+ * Owned upgrade and its counters. MESI is also X5's write-invalidate
+ * side of the Archibald & Baer comparison.
  */
 
 #ifndef SWCC_SIM_CACHE_MESI_FAMILY_PROTOCOL_HH
@@ -25,8 +26,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
-#include <vector>
 
 #include "sim/cache/coherence.hh"
 
@@ -107,16 +106,13 @@ class MesiFamilyProtocol : public CoherenceProtocol
 
   private:
     /** Handles a miss; returns the installed line. */
-    CacheLine &handleMiss(CpuId cpu, RefType type, Addr addr,
-                          AccessResult &out);
+    CacheLine &handleMiss(CpuId cpu, Addr addr, AccessResult &out);
 
-    /** Invalidates every remote copy of @p block; returns the count. */
-    unsigned invalidateRemotes(CpuId cpu, Addr block, AccessResult &out);
+    /** A store to shared @p line: invalidates every remote copy. */
+    void invalidateRemotes(CpuId cpu, CacheLine &line, AccessResult &out);
 
     MesiVariant variant_;
     MesiFamilyMeasurements measured_;
-    /** Blocks each cache lost to a remote invalidation. */
-    std::vector<std::unordered_set<Addr>> lostBlocks_;
     /** MESIF: block → CPU holding the clean-forwarder (F) slot. */
     std::unordered_map<Addr, CpuId> forwarder_;
 };

@@ -153,18 +153,8 @@ extractParams(const TraceBuffer &trace, const CacheConfig &cache_config,
     params.msdat = out.baseStats.dataMissRate();
     params.mains = out.baseStats.instrMissRate();
     params.md = out.baseStats.dirtyMissFraction();
-    // These two are only measurable when the trace actually exercises
-    // write runs / flushes; a short, read-only or flush-free trace
-    // silently inheriting the paper's middle value has misled more
-    // than one experiment, so say so.
-    if (!out.traceStats.apl.has_value()) {
-        SWCC_LOG_WARN("trace has no write runs; apl falls back to the "
-                      "paper's middle value");
-    }
-    if (!out.traceStats.mdshd.has_value()) {
-        SWCC_LOG_WARN("trace has no flush events; mdshd falls back "
-                      "to the paper's middle value");
-    }
+    // apl and mdshd are only measurable when the trace exercises
+    // write runs / flushes; warnDefaultedParams() reports a fallback.
     params.apl = std::max(
         1.0, out.traceStats.apl.value_or(
                  1.0 / paramLevelValue(ParamId::InvApl, Level::Middle)));
@@ -179,6 +169,37 @@ extractParams(const TraceBuffer &trace, const CacheConfig &cache_config,
     params.validate();
     out.params = params;
     return out;
+}
+
+void
+warnDefaultedParams(const ExtractedParams &extracted, Scheme scheme)
+{
+    // A short, read-only or flush-free trace silently inheriting the
+    // paper's middle value has misled more than one experiment, so say
+    // so, but only where the value enters the scheme's table.
+    bool reads_apl = false;
+    switch (scheme) {
+      case Scheme::SoftwareFlush:
+      case Scheme::Mesi:
+      case Scheme::Mesif:
+      case Scheme::Moesi:
+      case Scheme::Hybrid:
+        reads_apl = true;
+        break;
+      case Scheme::Base:
+      case Scheme::NoCache:
+      case Scheme::Dragon:
+        break;
+    }
+    if (reads_apl && !extracted.traceStats.apl.has_value()) {
+        SWCC_LOG_WARN("trace has no write runs; apl falls back to the "
+                      "paper's middle value");
+    }
+    if (scheme == Scheme::SoftwareFlush &&
+        !extracted.traceStats.mdshd.has_value()) {
+        SWCC_LOG_WARN("trace has no flush events; mdshd falls back "
+                      "to the paper's middle value");
+    }
 }
 
 } // namespace swcc

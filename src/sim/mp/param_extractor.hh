@@ -100,6 +100,7 @@ struct ExtractedParams
  * Defaults stand in for quantities a trace cannot expose: when the
  * trace has no flushes, mdshd falls back to the Table 7 middle value;
  * when it has no terminated write-runs, apl does likewise.
+ * warnDefaultedParams() reports the fallbacks that matter to a scheme.
  *
  * @param trace Interleaved trace.
  * @param cache_config Cache geometry for the miss-rate measurements.
@@ -122,6 +123,15 @@ ExtractedParams extractParams(const TraceBuffer &trace,
                               const CacheConfig &cache_config,
                               const SharedClassifier &shared,
                               const DragonMeasurements &dragon);
+
+/**
+ * Warns about each parameter that @p extracted took from the Table 7
+ * middle value and that @p scheme's frequency table reads: apl
+ * (Software-Flush and the invalidate family: MESI, MESIF, MOESI,
+ * Adaptive-Hybrid) when the trace has no write runs, mdshd
+ * (Software-Flush only) when it has no flush events.
+ */
+void warnDefaultedParams(const ExtractedParams &extracted, Scheme scheme);
 
 } // namespace swcc
 

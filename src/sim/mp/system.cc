@@ -68,22 +68,6 @@ MultiprocessorSystem::MultiprocessorSystem(Scheme scheme,
     result_.steals.reserve(num_cpus);
 }
 
-MultiprocessorSystem::MultiprocessorSystem(
-    std::unique_ptr<CoherenceProtocol> protocol,
-    const BusCostModel &costs)
-    : scheme_(Scheme::Base), costs_(costs), protocol_(std::move(protocol))
-{
-    if (!protocol_) {
-        throw std::invalid_argument("need a protocol");
-    }
-    const CpuId num_cpus = protocol_->numCpus();
-    processors_.reserve(num_cpus);
-    for (CpuId i = 0; i < num_cpus; ++i) {
-        processors_.emplace_back(i);
-    }
-    result_.steals.reserve(num_cpus);
-}
-
 void
 MultiprocessorSystem::step(TraceProcessor &proc, SimStats &stats)
 {

@@ -54,16 +54,6 @@ class MultiprocessorSystem
                          const BusCostModel &costs = BusCostModel());
 
     /**
-     * Builds a system around a caller-supplied protocol (extension
-     * protocols beyond the paper's four schemes, e.g. write-
-     * invalidate). Statistics carry the protocol's name(); the
-     * SimStats::scheme field is meaningful only for the paper
-     * protocols and defaults to Base here.
-     */
-    MultiprocessorSystem(std::unique_ptr<CoherenceProtocol> protocol,
-                         const BusCostModel &costs = BusCostModel());
-
-    /**
      * Replays @p trace to completion and returns the statistics.
      *
      * May be called once per system (caches stay warm otherwise);

@@ -66,6 +66,7 @@ validatePoint(const ValidationConfig &config, CpuId cpus)
     const ExtractedParams extracted = dragon
         ? extractParams(trace, cache, shared, *dragon)
         : extractParams(trace, cache, shared);
+    warnDefaultedParams(extracted, config.scheme);
     point.model = evaluateBus(config.scheme, extracted.params, cpus);
     point.modelPower = point.model.processingPower;
 

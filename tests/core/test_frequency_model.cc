@@ -143,6 +143,19 @@ TEST(DragonFrequenciesTest, TotalMissesMatchBase)
     EXPECT_NEAR(dragon.totalMisses(), base.totalMisses(), 1e-12);
 }
 
+TEST(FrequencyModelTest, FirstWriteFractionIsTheReciprocalRunLength)
+{
+    // A run of apl shared references holds wr*apl writes, of which
+    // only the first invalidates; at most one write per run, every
+    // write opens a run.
+    WorkloadParams params = referenceParams();
+    params.wr = 0.25;
+    params.apl = 8.0;
+    EXPECT_NEAR(firstWriteFraction(params), 1.0 / 2.0, 1e-12);
+    params.apl = 2.0;
+    EXPECT_DOUBLE_EQ(firstWriteFraction(params), 1.0);
+}
+
 TEST(FrequencyVectorTest, HelpersSumTheRightOperations)
 {
     FrequencyVector f;

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string_view>
+#include <utility>
 
 #include "core/operation.hh"
 #include "core/types.hh"
@@ -65,6 +67,41 @@ TEST(SchemeTest, NamesMatchPaper)
     EXPECT_EQ(schemeName(Scheme::Mesif), "MESIF");
     EXPECT_EQ(schemeName(Scheme::Moesi), "MOESI");
     EXPECT_EQ(schemeName(Scheme::Hybrid), "Adaptive-Hybrid");
+}
+
+TEST(SchemeTest, EveryAliasParsesToItsScheme)
+{
+    // The union of what the CLI, the service protocol and the protocol
+    // checker accepted, in any case.
+    const std::pair<std::string_view, Scheme> table[] = {
+        {"base", Scheme::Base},
+        {"no-cache", Scheme::NoCache},
+        {"nocache", Scheme::NoCache},
+        {"software-flush", Scheme::SoftwareFlush},
+        {"softwareflush", Scheme::SoftwareFlush},
+        {"sw-flush", Scheme::SoftwareFlush},
+        {"swflush", Scheme::SoftwareFlush},
+        {"flush", Scheme::SoftwareFlush},
+        {"dragon", Scheme::Dragon},
+        {"mesi", Scheme::Mesi},
+        {"mesif", Scheme::Mesif},
+        {"moesi", Scheme::Moesi},
+        {"adaptive-hybrid", Scheme::Hybrid},
+        {"hybrid", Scheme::Hybrid},
+        {"Software-Flush", Scheme::SoftwareFlush},
+        {"NOCACHE", Scheme::NoCache},
+        {"MoEsI", Scheme::Moesi},
+        {"Adaptive-Hybrid", Scheme::Hybrid},
+    };
+    for (const auto &[alias, scheme] : table) {
+        EXPECT_EQ(parseScheme(alias), scheme) << alias;
+    }
+    for (Scheme scheme : kAllSchemes) {
+        EXPECT_EQ(parseScheme(schemeName(scheme)), scheme);
+    }
+    EXPECT_EQ(parseScheme("snoopy"), std::nullopt);
+    EXPECT_EQ(parseScheme(""), std::nullopt);
+    EXPECT_EQ(parseScheme("mesi "), std::nullopt);
 }
 
 TEST(SchemeTest, OnlySnoopySchemesNeedABus)

@@ -1,19 +1,14 @@
 /**
  * @file
- * Unit tests for the write-invalidate protocol (simulator) and its
- * analytical model.
+ * The write-update vs write-invalidate trade-off behind X5: Dragon
+ * against MESI, in the simulator and in the analytical model.
  */
 
 #include <gtest/gtest.h>
 
-#include "core/invalidate_model.hh"
+#include "core/frequency_model.hh"
 #include "core/scheme_evaluator.hh"
-#include "sim/cache/dragon_protocol.hh"
-#include "sim/cache/invalidate_protocol.hh"
 #include "sim/mp/system.hh"
-#include "sim/synth/app_profiles.hh"
-#include "sim/synth/rng.hh"
-#include "sim/synth/trace_generator.hh"
 
 namespace swcc
 {
@@ -32,144 +27,6 @@ config()
     return c;
 }
 
-LineState
-stateOf(const InvalidateProtocol &protocol, CpuId cpu, Addr addr)
-{
-    const CacheLine *line = protocol.cache(cpu).find(addr);
-    return line != nullptr ? line->state : LineState::Invalid;
-}
-
-std::vector<Operation>
-opsOf(const AccessResult &result)
-{
-    return {result.ops.begin(), result.ops.begin() + result.numOps};
-}
-
-TEST(InvalidateProtocolTest, ReadSharingWorksLikeMesi)
-{
-    InvalidateProtocol protocol(config(), 2);
-    AccessResult result;
-    protocol.access(0, RefType::Load, kBlockA, result);
-    EXPECT_EQ(stateOf(protocol, 0, kBlockA), LineState::Exclusive);
-    protocol.access(1, RefType::Load, kBlockA, result);
-    EXPECT_EQ(stateOf(protocol, 0, kBlockA), LineState::SharedClean);
-    EXPECT_EQ(stateOf(protocol, 1, kBlockA), LineState::SharedClean);
-}
-
-TEST(InvalidateProtocolTest, WriteToSharedInvalidatesRemotes)
-{
-    InvalidateProtocol protocol(config(), 3);
-    AccessResult result;
-    protocol.access(0, RefType::Load, kBlockA, result);
-    protocol.access(1, RefType::Load, kBlockA, result);
-    protocol.access(2, RefType::Load, kBlockA, result);
-
-    protocol.access(0, RefType::Store, kBlockA, result);
-    EXPECT_EQ(opsOf(result),
-              std::vector<Operation>{Operation::WriteBroadcast});
-    EXPECT_EQ(result.steals.size(), 2u);
-    EXPECT_EQ(stateOf(protocol, 0, kBlockA), LineState::Dirty);
-    EXPECT_EQ(stateOf(protocol, 1, kBlockA), LineState::Invalid);
-    EXPECT_EQ(stateOf(protocol, 2, kBlockA), LineState::Invalid);
-    EXPECT_EQ(protocol.measurements().invalidations, 1u);
-    EXPECT_EQ(protocol.measurements().copiesInvalidated, 2u);
-}
-
-TEST(InvalidateProtocolTest, RepeatWritesAreFree)
-{
-    // The key difference from Dragon: after the first invalidation the
-    // line is exclusive and further writes cost nothing.
-    InvalidateProtocol protocol(config(), 2);
-    AccessResult result;
-    protocol.access(0, RefType::Load, kBlockA, result);
-    protocol.access(1, RefType::Load, kBlockA, result);
-    protocol.access(0, RefType::Store, kBlockA, result);
-    ASSERT_EQ(result.numOps, 1u);
-    protocol.access(0, RefType::Store, kBlockA, result);
-    EXPECT_EQ(result.numOps, 0u);
-    protocol.access(0, RefType::Store, kBlockA, result);
-    EXPECT_EQ(result.numOps, 0u);
-    EXPECT_EQ(protocol.measurements().invalidations, 1u);
-}
-
-TEST(InvalidateProtocolTest, ReReferenceIsACoherenceMiss)
-{
-    InvalidateProtocol protocol(config(), 2);
-    AccessResult result;
-    protocol.access(0, RefType::Load, kBlockA, result);
-    protocol.access(1, RefType::Load, kBlockA, result);
-    protocol.access(0, RefType::Store, kBlockA, result); // Kills 1's.
-
-    protocol.access(1, RefType::Load, kBlockA, result);
-    // Supplied by the dirty owner (Illinois), who reverts to shared.
-    EXPECT_EQ(opsOf(result),
-              std::vector<Operation>{Operation::CleanMissCache});
-    EXPECT_EQ(stateOf(protocol, 0, kBlockA), LineState::SharedClean);
-    EXPECT_EQ(stateOf(protocol, 1, kBlockA), LineState::SharedClean);
-    EXPECT_EQ(protocol.measurements().coherenceMisses, 1u);
-    EXPECT_DOUBLE_EQ(protocol.measurements().rerefFraction(), 1.0);
-}
-
-TEST(InvalidateProtocolTest, WriteMissIsReadForOwnership)
-{
-    InvalidateProtocol protocol(config(), 2);
-    AccessResult result;
-    protocol.access(0, RefType::Load, kBlockA, result);
-    protocol.access(1, RefType::Store, kBlockA, result);
-    EXPECT_EQ(opsOf(result),
-              (std::vector<Operation>{Operation::CleanMissMem,
-                                      Operation::WriteBroadcast}));
-    EXPECT_EQ(stateOf(protocol, 1, kBlockA), LineState::Dirty);
-    EXPECT_EQ(stateOf(protocol, 0, kBlockA), LineState::Invalid);
-}
-
-TEST(InvalidateProtocolTest, ColdWriteMissNeedsNoInvalidation)
-{
-    InvalidateProtocol protocol(config(), 2);
-    AccessResult result;
-    protocol.access(0, RefType::Store, kBlockA, result);
-    EXPECT_EQ(opsOf(result),
-              std::vector<Operation>{Operation::CleanMissMem});
-    EXPECT_EQ(stateOf(protocol, 0, kBlockA), LineState::Dirty);
-}
-
-TEST(InvalidateProtocolTest, InvariantsHoldUnderRandomTraffic)
-{
-    InvalidateProtocol protocol(config(), 4);
-    Rng rng(99);
-    AccessResult result;
-    for (int i = 0; i < 20'000; ++i) {
-        const CpuId cpu = static_cast<CpuId>(rng.below(4));
-        const Addr addr = kBlockA + 16 * rng.below(24);
-        protocol.access(cpu,
-                        rng.chance(0.3) ? RefType::Store : RefType::Load,
-                        addr, result);
-        if (i % 1000 == 0) {
-            ASSERT_NO_THROW(checkCoherenceInvariants(protocol));
-        }
-    }
-    // Stronger MESI invariant: a valid copy in two caches is never
-    // dirty anywhere.
-    EXPECT_NO_THROW(checkCoherenceInvariants(protocol));
-}
-
-TEST(InvalidateSystemTest, RunsUnderTheTimingSimulator)
-{
-    const SyntheticWorkloadConfig workload =
-        profileConfig(AppProfile::PopsLike, 4, 20'000, 17, false);
-    const TraceBuffer trace = generateTrace(workload);
-
-    CacheConfig cache;
-    cache.sizeBytes = 64 * 1024;
-    cache.blockBytes = 16;
-    MultiprocessorSystem system(
-        std::make_unique<InvalidateProtocol>(cache, 4));
-    const SimStats stats = system.run(trace);
-    EXPECT_EQ(stats.protocolName, "Write-Invalidate");
-    EXPECT_GT(stats.processingPower(), 1.0);
-    EXPECT_GT(stats.opCount(Operation::WriteBroadcast), 0u);
-}
-
 TEST(InvalidateSystemTest, FewerBusOpsThanDragonOnWriteRuns)
 {
     // A workload of long write runs: invalidate pays once per run,
@@ -181,45 +38,29 @@ TEST(InvalidateSystemTest, FewerBusOpsThanDragonOnWriteRuns)
         trace.append(0, RefType::Store, kBlockA + 4);
     }
 
-    MultiprocessorSystem inval_system(
-        std::make_unique<InvalidateProtocol>(config(), 2));
-    const SimStats inval = inval_system.run(trace);
+    MultiprocessorSystem mesi_system(Scheme::Mesi, config(), 2);
+    const SimStats mesi = mesi_system.run(trace);
 
     MultiprocessorSystem dragon_system(Scheme::Dragon, config(), 2);
     const SimStats dragon = dragon_system.run(trace);
 
-    EXPECT_EQ(inval.opCount(Operation::WriteBroadcast), 1u);
+    EXPECT_EQ(mesi.opCount(Operation::WriteBroadcast), 1u);
     EXPECT_EQ(dragon.opCount(Operation::WriteBroadcast), 10u);
-}
-
-TEST(InvalidateModelTest, ConfigValidationAndDerivation)
-{
-    InvalidateModelConfig config;
-    config.rerefFraction = -0.1;
-    EXPECT_THROW(config.validate(), std::invalid_argument);
-
-    WorkloadParams params = middleParams();
-    params.wr = 0.25;
-    params.apl = 8.0;
-    EXPECT_NEAR(InvalidateModelConfig::firstWriteFromRun(params),
-                1.0 / 2.0, 1e-12);
-    params.apl = 2.0;
-    EXPECT_DOUBLE_EQ(InvalidateModelConfig::firstWriteFromRun(params),
-                     1.0);
 }
 
 TEST(InvalidateModelTest, FrequenciesDecompose)
 {
+    // MESI's table: one invalidation per write run that finds remote
+    // copies, nshd copies destroyed by each, and a fraction opres of
+    // them re-referenced as cache-supplied coherence misses.
     const WorkloadParams p = middleParams();
-    InvalidateModelConfig config;
-    config.rerefFraction = 0.4;
-    config.firstWriteFraction = 0.5;
-    const FrequencyVector f = invalidateFrequencies(p, config);
+    const FrequencyVector f = operationFrequencies(Scheme::Mesi, p);
 
-    const double inval = p.ls * p.shd * p.wr * p.opres * 0.5;
+    const double inval =
+        p.ls * p.shd * p.wr * p.opres * firstWriteFraction(p);
     EXPECT_DOUBLE_EQ(f.of(Operation::WriteBroadcast), inval);
     EXPECT_DOUBLE_EQ(f.of(Operation::CycleSteal), inval * p.nshd);
-    const double coherence = inval * p.nshd * 0.4;
+    const double coherence = inval * p.nshd * p.opres;
     EXPECT_NEAR(f.totalMisses(),
                 p.ls * p.msdat + p.mains + coherence, 1e-12);
 }
@@ -227,36 +68,23 @@ TEST(InvalidateModelTest, FrequenciesDecompose)
 TEST(InvalidateModelTest, TradeoffFollowsRunLength)
 {
     // Short write runs (ping-pong): Dragon's cheap updates win. Long
-    // runs with rare re-reads: invalidation wins.
+    // runs: one invalidation covers many writes and MESI wins.
     WorkloadParams ping = middleParams();
     ping.apl = 2.0;
-    InvalidateModelConfig ping_config;
-    ping_config.firstWriteFraction =
-        InvalidateModelConfig::firstWriteFromRun(ping);
-    ping_config.rerefFraction = 1.0; // Victim always comes back.
     EXPECT_GT(evaluateBus(Scheme::Dragon, ping, 16).processingPower,
-              evaluateInvalidateBus(ping, 16, ping_config)
-                  .processingPower);
+              evaluateBus(Scheme::Mesi, ping, 16).processingPower);
 
     WorkloadParams runs = middleParams();
     runs.apl = 64.0;
-    runs.wr = 0.4;
-    InvalidateModelConfig runs_config;
-    runs_config.firstWriteFraction =
-        InvalidateModelConfig::firstWriteFromRun(runs);
-    runs_config.rerefFraction = 0.2;
     EXPECT_LT(evaluateBus(Scheme::Dragon, runs, 16).processingPower,
-              evaluateInvalidateBus(runs, 16, runs_config)
-                  .processingPower);
+              evaluateBus(Scheme::Mesi, runs, 16).processingPower);
 }
 
 TEST(InvalidateModelTest, NoSharingMatchesDragonAndBase)
 {
     WorkloadParams params = middleParams();
     params.shd = 0.0;
-    const double inval =
-        evaluateInvalidateBus(params, 8).processingPower;
-    EXPECT_NEAR(inval,
+    EXPECT_NEAR(evaluateBus(Scheme::Mesi, params, 8).processingPower,
                 evaluateBus(Scheme::Base, params, 8).processingPower,
                 1e-9);
 }

@@ -2,20 +2,18 @@
  * @file
  * Unit tests for the MESI / MESIF / MOESI protocol family driver.
  *
- * The family shares one Illinois skeleton, so the MESI variant is
- * cross-checked against the standalone InvalidateProtocol as an
- * independent oracle; MESIF's forwarder slot and MOESI's Owned state
- * are pinned with targeted transition tests.
+ * The family shares one Illinois skeleton, pinned for every variant by
+ * the parameterized cases; MESIF's forwarder slot and MOESI's Owned
+ * state are pinned with targeted transition tests. test_protocol_golden
+ * pins whole-run statistics and MESI's counters.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "sim/cache/invalidate_protocol.hh"
 #include "sim/cache/mesi_family_protocol.hh"
 #include "sim/mp/system.hh"
 #include "sim/synth/app_profiles.hh"
@@ -112,6 +110,30 @@ TEST_P(MesiFamilyTest, ReReferenceAfterInvalidationIsACoherenceMiss)
               std::vector<Operation>{Operation::CleanMissCache});
     EXPECT_EQ(protocol.measurements().coherenceMisses, 1u);
     EXPECT_EQ(protocol.measurements().ownerSupplies, 1u);
+}
+
+TEST_P(MesiFamilyTest, WriteMissIsReadForOwnership)
+{
+    MesiFamilyProtocol protocol(GetParam(), config(), 2);
+    AccessResult result;
+    protocol.access(0, RefType::Load, kBlockA, result);
+    protocol.access(1, RefType::Store, kBlockA, result);
+    EXPECT_EQ(opsOf(result),
+              (std::vector<Operation>{Operation::CleanMissMem,
+                                      Operation::WriteBroadcast}));
+    EXPECT_EQ(stateOf(protocol, 1, kBlockA), LineState::Dirty);
+    EXPECT_EQ(stateOf(protocol, 0, kBlockA), LineState::Invalid);
+}
+
+TEST_P(MesiFamilyTest, ColdWriteMissNeedsNoInvalidation)
+{
+    MesiFamilyProtocol protocol(GetParam(), config(), 2);
+    AccessResult result;
+    protocol.access(0, RefType::Store, kBlockA, result);
+    EXPECT_EQ(opsOf(result),
+              std::vector<Operation>{Operation::CleanMissMem});
+    EXPECT_EQ(stateOf(protocol, 0, kBlockA), LineState::Dirty);
+    EXPECT_EQ(protocol.measurements().invalidations, 0u);
 }
 
 TEST_P(MesiFamilyTest, FlushesAreNoOps)
@@ -283,40 +305,6 @@ TEST(MoesiTest, EvictingAnOwnedLineWritesBack)
     protocol.access(0, RefType::Load, kBlockA + 1024, result);
     ASSERT_EQ(stateOf(protocol, 0, kBlockA), LineState::Invalid);
     EXPECT_TRUE(result.hasDirtyMiss());
-}
-
-TEST(MesiOracleTest, MesiMatchesTheStandaloneInvalidateProtocol)
-{
-    // MESI and the standalone InvalidateProtocol implement the same
-    // Illinois protocol independently; on any trace the two must
-    // produce identical operation streams and timing. (SimStats
-    // serializations differ only in the protocol name.)
-    CacheConfig cache;
-    cache.sizeBytes = 64 * 1024;
-    cache.blockBytes = 16;
-    for (AppProfile profile : kAllProfiles) {
-        const TraceBuffer trace = generateTrace(
-            profileConfig(profile, 4, 10'000, 23, false));
-
-        MultiprocessorSystem mesi(
-            std::make_unique<MesiFamilyProtocol>(MesiVariant::Mesi,
-                                                 cache, 4));
-        MultiprocessorSystem oracle(
-            std::make_unique<InvalidateProtocol>(cache, 4));
-        const SimStats a = mesi.run(trace);
-        const SimStats b = oracle.run(trace);
-
-        EXPECT_EQ(a.opCounts, b.opCounts)
-            << "profile " << profileName(profile);
-        EXPECT_EQ(a.makespan, b.makespan)
-            << "profile " << profileName(profile);
-        EXPECT_EQ(a.busBusyCycles, b.busBusyCycles)
-            << "profile " << profileName(profile);
-        EXPECT_EQ(a.busTransactions, b.busTransactions)
-            << "profile " << profileName(profile);
-        EXPECT_EQ(a.dirtyMisses, b.dirtyMisses)
-            << "profile " << profileName(profile);
-    }
 }
 
 TEST(MesiFamilySystemTest, EverySchemeRunsUnderTheTimingSimulator)

@@ -10,6 +10,7 @@
 
 #include "core/obs/log.hh"
 #include "sim/mp/param_extractor.hh"
+#include "sim/mp/validation.hh"
 #include "sim/synth/app_profiles.hh"
 #include "sim/synth/trace_generator.hh"
 
@@ -119,12 +120,12 @@ TEST(ExtractorDefaultsTest, HardwareTraceFallsBackForMdshd)
 }
 
 /**
- * Warnings extracting @p trace prints. Earlier warnings are flushed
- * first so that each call site prints again instead of only counting.
+ * Warnings @p fn prints. Earlier warnings are flushed first so that
+ * each call site prints again instead of only counting.
  */
+template <typename Fn>
 std::string
-extractionWarnings(const TraceBuffer &trace,
-                   const SharedClassifier &shared)
+warningsOf(Fn &&fn)
 {
     std::ostringstream discarded;
     std::ostringstream captured;
@@ -133,10 +134,21 @@ extractionWarnings(const TraceBuffer &trace,
     obs::setLogSink(&discarded);
     obs::flushLogRepeats();
     obs::setLogSink(&captured);
-    (void)extractParams(trace, cache64k(), shared);
+    fn();
     obs::setLogSink(nullptr);
     obs::setLogLevel(saved);
     return captured.str();
+}
+
+/** Fallback warnings extracting @p trace gives for Software-Flush. */
+std::string
+extractionWarnings(const TraceBuffer &trace,
+                   const SharedClassifier &shared)
+{
+    return warningsOf([&] {
+        warnDefaultedParams(extractParams(trace, cache64k(), shared),
+                            Scheme::SoftwareFlush);
+    });
 }
 
 TEST(ExtractorDefaultsTest, MdshdFallbackWarningNamesMissingFlushes)
@@ -161,6 +173,19 @@ TEST(ExtractorDefaultsTest, FlushBearingTraceGivesNoMdshdWarning)
         profileConfig(AppProfile::PopsLike, 4, 20'000, 33, true);
     const std::string warnings = extractionWarnings(
         generateTrace(workload), workload.sharedClassifier());
+    EXPECT_EQ(warnings.find("mdshd"), std::string::npos) << warnings;
+}
+
+TEST(ExtractorDefaultsTest, DragonValidationGivesNoMdshdWarning)
+{
+    // Only Software-Flush's table reads mdshd, so a Dragon point on a
+    // flush-free trace has no fallback worth naming.
+    ValidationConfig config;
+    config.profile = AppProfile::ThorLike;
+    config.scheme = Scheme::Dragon;
+    config.instructionsPerCpu = 5'000;
+    const std::string warnings =
+        warningsOf([&] { (void)validatePoint(config, 2); });
     EXPECT_EQ(warnings.find("mdshd"), std::string::npos) << warnings;
 }
 

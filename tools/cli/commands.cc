@@ -23,20 +23,8 @@ namespace
 Scheme
 schemeFromName(const std::string &name)
 {
-    for (Scheme scheme : kAllSchemes) {
-        std::string candidate(schemeName(scheme));
-        for (char &c : candidate) {
-            c = static_cast<char>(std::tolower(c));
-        }
-        if (candidate == name) {
-            return scheme;
-        }
-    }
-    if (name == "sw-flush" || name == "swflush" || name == "flush") {
-        return Scheme::SoftwareFlush;
-    }
-    if (name == "nocache") {
-        return Scheme::NoCache;
+    if (const std::optional<Scheme> scheme = parseScheme(name)) {
+        return *scheme;
     }
     throw std::invalid_argument(
         "unknown scheme '" + name +

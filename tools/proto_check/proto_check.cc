@@ -24,7 +24,6 @@
  * errors — so a CI job can run scheme pairs and gate on the result.
  */
 
-#include <cctype>
 #include <iostream>
 #include <stdexcept>
 #include <string>
@@ -55,15 +54,8 @@ struct CheckOptions
 Scheme
 schemeFromName(const std::string &name)
 {
-    for (Scheme scheme : kAllSchemes) {
-        std::string candidate(schemeName(scheme));
-        for (char &c : candidate) {
-            c = static_cast<char>(
-                std::tolower(static_cast<unsigned char>(c)));
-        }
-        if (candidate == name) {
-            return scheme;
-        }
+    if (const std::optional<Scheme> scheme = parseScheme(name)) {
+        return *scheme;
     }
     throw std::invalid_argument(
         "unknown scheme '" + name +
