@@ -7,8 +7,11 @@
  * by re-running the scheme comparison under packet switching.
  */
 
+#include <array>
 #include <iostream>
+#include <vector>
 
+#include "core/parallel.hh"
 #include "core/swcc.hh"
 #include "sim/net/net_experiment.hh"
 
@@ -21,9 +24,17 @@ main()
                  "simulator (64 ports) ===\n\n";
     TextTable val({"think", "sim U", "model U", "error %", "sim lat",
                    "model lat", "sim load", "model load"});
-    for (double think : {100.0, 50.0, 30.0, 20.0, 15.0, 12.0}) {
-        const PacketValidationPoint p =
-            validatePacketPoint(think, 1, 4, 6, 120'000, 13);
+    // Every point is a whole simulation with a fixed seed, so the
+    // points fan out over the pool and print in the serial order.
+    const std::array<double, 6> thinks = {100.0, 50.0, 30.0,
+                                          20.0, 15.0, 12.0};
+    const std::vector<PacketValidationPoint> valPoints =
+        parallelMap(thinks.size(), [&](std::size_t i) {
+            return validatePacketPoint(thinks[i], 1, 4, 6, 120'000, 13);
+        });
+    for (std::size_t i = 0; i < thinks.size(); ++i) {
+        const double think = thinks[i];
+        const PacketValidationPoint &p = valPoints[i];
         val.addRow({formatNumber(think, 0),
                     formatNumber(p.simCompute, 3),
                     formatNumber(p.modelCompute, 3),
@@ -63,16 +74,22 @@ main()
     TextTable buffers({"buffer words/port", "transactions",
                        "compute U", "max queue", "backpressure "
                        "stalls"});
-    for (unsigned depth : {1u, 2u, 4u, 8u, 0u}) {
-        PacketNetConfig config;
-        config.stages = 6;
-        config.meanThink = 15.0;
-        config.requestWords = 1;
-        config.responseWords = 4;
-        config.bufferWords = depth;
-        config.seed = 77;
-        PacketOmegaNetwork network(config);
-        const PacketNetStats stats = network.run(60'000);
+    const std::array<unsigned, 5> depths = {1u, 2u, 4u, 8u, 0u};
+    const std::vector<PacketNetStats> depthStats =
+        parallelMap(depths.size(), [&](std::size_t i) {
+            PacketNetConfig config;
+            config.stages = 6;
+            config.meanThink = 15.0;
+            config.requestWords = 1;
+            config.responseWords = 4;
+            config.bufferWords = depths[i];
+            config.seed = 77;
+            PacketOmegaNetwork network(config);
+            return network.run(60'000);
+        });
+    for (std::size_t i = 0; i < depths.size(); ++i) {
+        const unsigned depth = depths[i];
+        const PacketNetStats &stats = depthStats[i];
         buffers.addRow(
             {depth == 0 ? "unbounded" : formatNumber(depth, 0),
              formatNumber(static_cast<double>(stats.transactions), 0),

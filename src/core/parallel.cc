@@ -225,41 +225,6 @@ ThreadPool::forEach(std::size_t n, const std::function<void(std::size_t)> &fn)
     jobs_.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> job_lock(jobMutex_);
 
-    // Min-work-per-lane threshold: run a serial prefix on the caller
-    // until ~1 ms of work has accumulated. A job that finishes inside
-    // the budget never wakes a worker, so sub-millisecond jobs (the
-    // 0.4 ms Table 8 grid) cost exactly the serial path instead of a
-    // round of wakes and steals for a 1.0x "speedup".
-    constexpr std::chrono::nanoseconds kInlineBudget{1'000'000};
-    std::size_t next = 0;
-    {
-        InParallelScope scope;
-        LaneCounters &counters = laneCounters_[0];
-        // The prefix is one cursor claim by lane 0 for accounting.
-        counters.chunks.fetch_add(1, std::memory_order_relaxed);
-        const auto start = std::chrono::steady_clock::now();
-        std::size_t executed = 0;
-        try {
-            while (next < n) {
-                fn(next);
-                ++next;
-                ++executed;
-                if (std::chrono::steady_clock::now() - start >=
-                    kInlineBudget) {
-                    break;
-                }
-            }
-        } catch (...) {
-            counters.tasks.fetch_add(executed,
-                                     std::memory_order_relaxed);
-            throw;
-        }
-        counters.tasks.fetch_add(executed, std::memory_order_relaxed);
-    }
-    if (next >= n) {
-        return;
-    }
-
     {
         std::lock_guard<std::mutex> lock(mutex_);
         jobFn_ = &fn;
@@ -267,8 +232,8 @@ ThreadPool::forEach(std::size_t n, const std::function<void(std::size_t)> &fn)
         // Aim for ~8 steals per lane so uneven cells rebalance without
         // the cursor becoming contended.
         jobChunk_ = std::max<std::size_t>(
-            1, (n - next) / (static_cast<std::size_t>(size()) * 8));
-        cursor_.store(next, std::memory_order_relaxed);
+            1, n / (static_cast<std::size_t>(size()) * 8));
+        cursor_.store(0, std::memory_order_relaxed);
         failed_.store(false, std::memory_order_relaxed);
         error_ = nullptr;
         ++jobSeq_;

@@ -100,11 +100,10 @@ class ThreadPool
      * remaining indices are abandoned and the first exception is
      * rethrown on the calling thread; the pool stays usable.
      *
-     * Tiny jobs never pay the wake/steal machinery: the caller first
-     * runs a serial prefix inline and only dispatches the remainder to
-     * the workers once ~1 ms of work has accumulated, so a
-     * sub-millisecond job (e.g. the Table 8 grid at 0.4 ms) completes
-     * exactly like the serial path, minus a clock read per index.
+     * A job of two or more items wakes every worker at once and the
+     * caller joins in as lane 0, so a long first item runs beside the
+     * others rather than before them. Jobs of zero or one item, a
+     * one-lane pool and nested calls run inline.
      */
     void forEach(std::size_t n, const std::function<void(std::size_t)> &fn);
 

@@ -79,14 +79,19 @@ validate(const ValidationConfig &config)
     // One simulator instance per processor count, run concurrently.
     // Each cell seeds its own trace generator from the cell index
     // (seed + cpus), so the numbers are independent of evaluation
-    // order and bit-identical to the serial loop.
+    // order and bit-identical to the serial loop. A cell's cost grows
+    // with its CPU count, so the pool claims the widest cell first
+    // (index i runs maxCpus - i CPUs) and the narrow ones fill the
+    // lanes behind it; slot cpus - 1 keeps the result in CPU order.
     obs::ProgressReporter progress("validate", config.maxCpus);
-    return parallelMap(config.maxCpus, [&](std::size_t i) {
-        ValidationPoint point =
-            validatePoint(config, static_cast<CpuId>(i + 1));
+    std::vector<ValidationPoint> points(config.maxCpus);
+    parallelFor(config.maxCpus, [&](std::size_t i) {
+        const std::size_t cpus = config.maxCpus - i;
+        points[cpus - 1] =
+            validatePoint(config, static_cast<CpuId>(cpus));
         progress.tick();
-        return point;
     });
+    return points;
 }
 
 } // namespace swcc

@@ -58,26 +58,26 @@ TraceGenerator::nextBlock(SegmentStack &seg, double alpha)
         ? std::numeric_limits<std::uint64_t>::max()
         : static_cast<std::uint64_t>(draw);
 
+    // The stack is kept MRU-last, so a reuse at depth d rotates only
+    // the d most recent entries and a first touch is a push_back.
     if (distance <= seg.stack.size()) {
-        // Reuse the block at that LRU depth; move it to the front.
-        const std::size_t pos = static_cast<std::size_t>(distance) - 1;
-        const std::uint32_t block = seg.stack[pos];
-        seg.stack.erase(seg.stack.begin() +
-                        static_cast<std::ptrdiff_t>(pos));
-        seg.stack.insert(seg.stack.begin(), block);
+        // Reuse the block at that LRU depth; make it the most recent.
+        const auto pos =
+            seg.stack.end() - static_cast<std::ptrdiff_t>(distance);
+        const std::uint32_t block = *pos;
+        std::rotate(pos, pos + 1, seg.stack.end());
         return block;
     }
     if (seg.allocated < seg.order.size()) {
         // First touch of a new block (compulsory miss downstream).
         const std::uint32_t block = seg.order[seg.allocated++];
-        seg.stack.insert(seg.stack.begin(), block);
+        seg.stack.push_back(block);
         return block;
     }
     // Segment exhausted: treat as a reference beyond every cached
     // block — reuse the coldest one.
-    const std::uint32_t block = seg.stack.back();
-    seg.stack.pop_back();
-    seg.stack.insert(seg.stack.begin(), block);
+    const std::uint32_t block = seg.stack.front();
+    std::rotate(seg.stack.begin(), seg.stack.begin() + 1, seg.stack.end());
     return block;
 }
 

@@ -77,7 +77,7 @@ class TraceGenerator
      */
     struct SegmentStack
     {
-        /** Move-to-front list of allocated block indices (front=MRU). */
+        /** LRU stack of allocated block indices (front=LRU, back=MRU). */
         std::vector<std::uint32_t> stack;
         /** Shuffled allocation order of all block indices. */
         std::vector<std::uint32_t> order;

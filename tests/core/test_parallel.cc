@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/parallel.hh"
@@ -118,6 +120,29 @@ TEST(ParallelPoolTest, StatsCountTasksUpToAFailure)
     const PoolStats stats = pool.stats();
     EXPECT_GE(stats.totals().chunksStolen, 1u);
     EXPECT_LE(stats.totals().tasksExecuted, 7u);
+}
+
+TEST(ParallelPoolTest, LongFirstItemDoesNotHoldBackTheRest)
+{
+    // Item 0 cannot finish until item 1 has run: a pool that runs its
+    // first item alone before waking the other lanes times out here.
+    ThreadPool pool(2);
+    std::atomic<bool> secondRan{false};
+    bool firstSawSecond = false;
+    pool.forEach(2, [&](std::size_t i) {
+        if (i == 1) {
+            secondRan.store(true);
+            return;
+        }
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!secondRan.load() &&
+               std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+        }
+        firstSawSecond = secondRan.load();
+    });
+    EXPECT_TRUE(firstSawSecond);
 }
 
 TEST(ParallelForTest, RunsZeroOneAndManyItems)
@@ -309,7 +334,10 @@ TEST(ParallelDeterminismTest, ValidationMatrixIsBitIdentical)
 
         ASSERT_EQ(serial.size(), parallel.size()) << schemeName(scheme);
         for (std::size_t i = 0; i < serial.size(); ++i) {
-            EXPECT_EQ(serial[i].cpus, parallel[i].cpus);
+            // Slot i holds the (i + 1)-CPU cell whatever order the
+            // cells were claimed in.
+            EXPECT_EQ(static_cast<std::size_t>(serial[i].cpus), i + 1);
+            EXPECT_EQ(static_cast<std::size_t>(parallel[i].cpus), i + 1);
             EXPECT_EQ(serial[i].simPower, parallel[i].simPower)
                 << schemeName(scheme);
             EXPECT_EQ(serial[i].modelPower, parallel[i].modelPower)
